@@ -64,7 +64,6 @@ from .specdsl import (
     Predicate,
     SpecAst,
     WellFormedSpec,
-    atom_polarities,
     atoms,
     check_spec,
     parse_spec,

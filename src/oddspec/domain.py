@@ -79,9 +79,9 @@ class Lod:
 
 @dataclass(frozen=True)
 class Trace:
-    """Samples strictly ordered by time, all over one taxonomy version."""
+    """Samples strictly ordered by time, all laid out by one taxonomy."""
 
-    taxonomy_version: str
+    taxonomy: Taxonomy
     samples: tuple[Lod, ...]
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -228,7 +228,7 @@ def parse_trace(stream: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Trace:
                 f"{samples[-1].t}"
             )
         samples.append(sample)
-    return Trace(taxonomy_version=taxonomy.version, samples=tuple(samples))
+    return Trace(taxonomy=taxonomy, samples=tuple(samples))
 
 
 def serialize_trace(trace: Trace, taxonomy: Taxonomy) -> str:

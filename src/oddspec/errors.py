@@ -47,7 +47,7 @@ class EvaluationError(OddspecError):
 
 
 class MonitorError(OddspecError):
-    """Monitor protocol violation: bad timestamps or mismatched versions."""
+    """Monitor protocol violation: bad timestamps or mismatched taxonomies."""
 
 
 class RealEqualityWarning(UserWarning):

@@ -16,22 +16,18 @@ operators.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .domain import UNKNOWN, AttributeValue, Lod, enumerate_od
-from .errors import EvaluationError, PredicateNotApplicableError, UnknownValueError
-from .specdsl import (
-    Atom,
-    Not,
-    Predicate,
-    SpecAst,
-    WellFormedSpec,
-    atom_polarities,
-    atoms,
+from .errors import (
+    EvaluationError,
+    PredicateNotApplicableError,
+    SpecCheckError,
+    UnknownValueError,
 )
-from .taxonomy import BoolType, EnumType, Taxonomy
+from .specdsl import Atom, Plan, Probe, WellFormedSpec, _check_atom
+from .taxonomy import Taxonomy
 
 
 class Verdict(enum.Enum):
@@ -75,101 +71,73 @@ class Diagnosis:
     unknown_atoms: tuple[Atom, ...]
 
 
-_COMPARE = {
-    Predicate.EQ: operator.eq,
-    Predicate.LT: operator.lt,
-    Predicate.GT: operator.gt,
-    Predicate.LE: operator.le,
-    Predicate.GE: operator.ge,
-}
+_FROM_BOOL = (Verdict.FALSE, Verdict.TRUE)
 
 
-def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
-    """Truth value of one constraint against one sample.
-
-    Unknown attribute values yield Verdict.UNKNOWN. Equality is exact
-    (labels byte-equal, numbers by numeric equality with int-to-real
-    widening); ordering uses numeric order, or label order for enums
-    declared ordered.
-
-    Raises:
-        EvaluationError: the atom or sample does not fit the taxonomy,
-            which signals a spec that was never checked against it.
-    """
+def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
     if len(lod.values) != len(taxonomy):
         raise EvaluationError(
             f"sample has {len(lod.values)} values but the taxonomy declares "
             f"{len(taxonomy)} attributes"
         )
+
+
+def _verdicts(probes: Iterable[Probe], values: tuple[AttributeValue, ...]) -> list[Verdict]:
+    """One verdict per probe: Unknown for an unmeasured value, else the
+    comparison of the value (or its label rank) with the literal."""
+    return [
+        Verdict.UNKNOWN
+        if (value := values[index]) is UNKNOWN
+        else _FROM_BOOL[compare(value if ranks is None else ranks[value], literal)]
+        for index, compare, literal, ranks in probes
+    ]
+
+
+def _fold(plan: Plan, verdicts: list[Verdict]) -> Verdict:
+    """Kleene-fold a compiled plan over its atom verdicts."""
+    if type(plan) is int:
+        return verdicts[plan]
+    if len(plan) == 1:
+        return kleene_not(_fold(plan[0], verdicts))
+    return kleene_and(_fold(plan[0], verdicts), _fold(plan[1], verdicts))
+
+
+def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
+    """Truth value of one constraint against one sample.
+
+    The atom is checked as ``check_spec`` checks it, including its
+    ``RealEqualityWarning``. Unknown attribute values yield
+    Verdict.UNKNOWN. Equality is exact (labels byte-equal, numbers by
+    numeric equality with int-to-real widening); ordering uses numeric
+    order, or label order for enums declared ordered.
+
+    Raises:
+        EvaluationError: the atom or sample does not fit the taxonomy,
+            which signals a spec that was never checked against it.
+        PredicateNotApplicableError: ordering predicate on a type with no
+            defined order.
+    """
+    _check_arity(lod, taxonomy)
     try:
-        index = taxonomy.index_of(atom.attribute_name)
-    except KeyError:
+        probe = _check_atom(atom, taxonomy)
+    except PredicateNotApplicableError:
+        raise
+    except SpecCheckError as exc:
         raise EvaluationError(
-            f"unknown attribute {atom.attribute_name!r}; "
-            f"was the spec checked against this taxonomy?"
+            f"cannot compare: {exc}; was the spec checked against this taxonomy?"
         ) from None
-    value = lod.values[index]
-    if value is UNKNOWN:
-        return Verdict.UNKNOWN
-
-    kind = taxonomy.attributes[index].attr_type
-    literal = atom.literal
-    if isinstance(kind, EnumType):
-        if not isinstance(value, str) or not isinstance(literal, str):
-            raise EvaluationError(_kind_mismatch(atom, value))
-        if atom.predicate is Predicate.EQ:
-            return Verdict.from_bool(value == literal)
-        if not kind.ordered:
-            raise PredicateNotApplicableError(
-                f"{atom.attribute_name}: '{atom.predicate.value}' on an unordered enum"
-            )
-        try:
-            left, right = kind.labels.index(value), kind.labels.index(literal)
-        except ValueError:
-            raise EvaluationError(_kind_mismatch(atom, value)) from None
-        return Verdict.from_bool(_COMPARE[atom.predicate](left, right))
-    if isinstance(kind, BoolType):
-        if not isinstance(value, bool) or not isinstance(literal, bool):
-            raise EvaluationError(_kind_mismatch(atom, value))
-        if atom.predicate is not Predicate.EQ:
-            raise PredicateNotApplicableError(
-                f"{atom.attribute_name}: '{atom.predicate.value}' on a boolean"
-            )
-        return Verdict.from_bool(value == literal)
-    # numeric: RealType or IntType
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise EvaluationError(_kind_mismatch(atom, value))
-    if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-        raise EvaluationError(_kind_mismatch(atom, value))
-    return Verdict.from_bool(_COMPARE[atom.predicate](value, literal))
-
-
-def _kind_mismatch(atom: Atom, value: AttributeValue) -> str:
-    return (
-        f"{atom.attribute_name}: cannot compare sample value {value!r} with "
-        f"literal {atom.literal!r}; was the spec checked against this taxonomy?"
-    )
+    return _verdicts((probe,), lod.values)[0]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
-    """Verdict of a whole specification by structural recursion."""
-    if len(lod.values) != len(spec.taxonomy):
-        raise EvaluationError(
-            f"sample has {len(lod.values)} values but the taxonomy declares "
-            f"{len(spec.taxonomy)} attributes"
-        )
-    return _eval_node(spec.ast, lod, spec.taxonomy)
+    """Verdict of a whole specification: its atom verdicts, Kleene-folded.
 
-
-def _eval_node(node: SpecAst, lod: Lod, taxonomy: Taxonomy) -> Verdict:
-    if isinstance(node, Atom):
-        return eval_atom(node, lod, taxonomy)
-    if isinstance(node, Not):
-        return kleene_not(_eval_node(node.operand, lod, taxonomy))
-    return kleene_and(
-        _eval_node(node.left, lod, taxonomy),
-        _eval_node(node.right, lod, taxonomy),
-    )
+    The sample must come from the spec's taxonomy (``make_lod``,
+    ``parse_lod``, ``parse_trace`` or ``enumerate_od``); only its arity is
+    checked, its values are trusted.
+    """
+    _check_arity(lod, spec.taxonomy)
+    return _fold(spec.plan, _verdicts(spec.probes, lod.values))
 
 
 def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
@@ -179,12 +147,14 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
         UnknownValueError: a mentioned attribute is Unknown; membership is
             then undefined, not false.
     """
-    for name in spec.mentioned_attributes:
-        if lod.values[spec.taxonomy.index_of(name)] is UNKNOWN:
-            raise UnknownValueError(
-                f"attribute {name!r} is unmeasured; membership is undefined"
-            )
-    return eval_spec(spec, lod) is Verdict.TRUE
+    _check_arity(lod, spec.taxonomy)
+    verdicts = _verdicts(spec.probes, lod.values)
+    if Verdict.UNKNOWN in verdicts:
+        name = spec.atoms[verdicts.index(Verdict.UNKNOWN)].attribute_name
+        raise UnknownValueError(
+            f"attribute {name!r} is unmeasured; membership is undefined"
+        )
+    return _fold(spec.plan, verdicts) is Verdict.TRUE
 
 
 def enumerate_odd(
@@ -194,32 +164,29 @@ def enumerate_odd(
 
     Atoms are time/space-independent, so membership reduces to filtering
     the finite enumeration by verdict.
+
+    Raises:
+        EvaluationError: the spec was checked against a taxonomy that is
+            not equal to ``taxonomy``.
     """
-    if spec.taxonomy_version != taxonomy.version:
+    if spec.taxonomy != taxonomy:
         raise EvaluationError(
-            f"spec was checked against taxonomy version "
-            f"{spec.taxonomy_version!r}, not {taxonomy.version!r}"
+            f"spec was checked against a different taxonomy (version "
+            f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
     for values in enumerate_od(taxonomy):
-        lod = Lod(t=0.0, x=0.0, y=0.0, values=values)
-        if eval_spec(spec, lod) is Verdict.TRUE:
+        if _fold(spec.plan, _verdicts(spec.probes, values)) is Verdict.TRUE:
             yield values
 
 
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
-    verdict = eval_spec(spec, lod)
-    polarities = atom_polarities(spec.ast)
-    falsified = []
-    unknown = []
-    for atom in atoms(spec.ast):
-        atom_verdict = eval_atom(atom, lod, spec.taxonomy)
-        if atom_verdict is Verdict.FALSE and True in polarities[atom]:
+    _check_arity(lod, spec.taxonomy)
+    verdicts = _verdicts(spec.probes, lod.values)
+    falsified, unknown = [], []
+    for atom, verdict, blamed in zip(spec.atoms, verdicts, spec.blame):
+        if verdict is Verdict.FALSE and blamed:
             falsified.append(atom)
-        elif atom_verdict is Verdict.UNKNOWN:
+        elif verdict is Verdict.UNKNOWN:
             unknown.append(atom)
-    return Diagnosis(
-        verdict=verdict,
-        falsified_atoms=tuple(falsified),
-        unknown_atoms=tuple(unknown),
-    )
+    return Diagnosis(_fold(spec.plan, verdicts), tuple(falsified), tuple(unknown))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .domain import Lod, Trace
 from .errors import MonitorError
 from .evaluator import Diagnosis, Verdict, diagnose
-from .specdsl import Atom, WellFormedSpec, atoms, serialize_spec
+from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import Taxonomy
 
 
@@ -66,7 +66,6 @@ class MonitorState:
     taxonomy: Taxonomy
     last_verdict: Verdict | None = None
     last_t: float | None = None
-    first_t: float | None = None
     samples_total: int = 0
     samples_in: int = 0
     samples_out: int = 0
@@ -94,16 +93,16 @@ def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
     """Fresh state with zeroed counters.
 
     Raises:
-        MonitorError: the spec was checked against a different taxonomy
-            version.
+        MonitorError: the spec was checked against a taxonomy that is not
+            equal to ``taxonomy`` (attributes, order, types and version).
     """
-    if spec.taxonomy_version != taxonomy.version:
+    if spec.taxonomy != taxonomy:
         raise MonitorError(
-            f"spec was checked against taxonomy version "
-            f"{spec.taxonomy_version!r}, not {taxonomy.version!r}"
+            f"spec was checked against a different taxonomy (version "
+            f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
     state = MonitorState(spec=spec, taxonomy=taxonomy)
-    state.atom_violations = {atom: 0 for atom in atoms(spec.ast)}
+    state.atom_violations = {atom: 0 for atom in spec.atoms}
     return state
 
 
@@ -127,8 +126,6 @@ def monitor_step(
 
     if state.last_t is not None:
         state.dwell[state.last_verdict] += cod.t - state.last_t
-    else:
-        state.first_t = cod.t
 
     sample_index = state.samples_total
     state.samples_total += 1
@@ -159,12 +156,13 @@ def run_monitor(
     an identical report.
 
     Raises:
-        MonitorError: empty trace or mismatched taxonomy versions.
+        MonitorError: empty trace, or a spec or trace bound to a taxonomy
+            that is not equal to ``taxonomy``.
     """
-    if trace.taxonomy_version != taxonomy.version:
+    if trace.taxonomy != taxonomy:
         raise MonitorError(
-            f"trace was recorded against taxonomy version "
-            f"{trace.taxonomy_version!r}, not {taxonomy.version!r}"
+            f"trace was recorded against a different taxonomy (version "
+            f"{trace.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
     if not trace.samples:
         raise MonitorError("trace has no samples")

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Union
+from typing import Callable, Union
 
 from .errors import (
     PredicateNotApplicableError,
@@ -76,15 +77,36 @@ class And:
 
 SpecAst = Union[Atom, Not, And]
 
+Probe = tuple[int, Callable[[object, object], bool], object, "dict[str, int] | None"]
+Plan = Union[int, tuple]
+
 
 @dataclass(frozen=True)
 class WellFormedSpec:
-    """A checked specification, bound to the taxonomy it was checked against."""
+    """A checked specification, bound to the taxonomy it was checked against.
+
+    The binding is structural: the spec fits samples laid out by a taxonomy
+    equal to ``taxonomy``, with the same attributes, order, types and
+    version. A matching version string alone is not enough. Evaluation
+    trusts samples built from that taxonomy by ``make_lod``, ``parse_lod``,
+    ``parse_trace`` or ``enumerate_od`` and does not re-validate their
+    values; it checks only their arity.
+
+    ``check_spec`` compiles the tree once. ``atoms`` are the distinct atoms
+    in first-occurrence order; ``blame[i]`` is true when atom ``i`` occurs
+    under an even number of negations. ``probes[i]`` is atom ``i``'s
+    ``(value index, comparator, literal or its label rank, rank table or
+    None)``. ``plan`` is the tree over atom positions: an int is an atom, a
+    1-tuple negates its element and a 2-tuple conjoins its two.
+    """
 
     ast: SpecAst
-    taxonomy_version: str
     mentioned_attributes: frozenset[str]
     taxonomy: Taxonomy
+    atoms: tuple[Atom, ...] = field(compare=False, repr=False)
+    blame: tuple[bool, ...] = field(compare=False, repr=False)
+    probes: tuple[Probe, ...] = field(compare=False, repr=False)
+    plan: Plan = field(compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -301,45 +323,33 @@ def parse_spec(text: str) -> SpecAst:
 # --------------------------------------------------------------------------
 
 
-def _walk(node: SpecAst) -> Iterator[Atom]:
-    """Yield atoms left to right, with repeats."""
-    if isinstance(node, Atom):
-        yield node
-    elif isinstance(node, Not):
-        yield from _walk(node.operand)
-    elif isinstance(node, And):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    else:
+def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], Plan]:
+    """One walk of the tree: its distinct atoms in first-occurrence order,
+    each atom's blame flag, and the plan over atom positions."""
+    positions: dict[Atom, int] = {}
+    blame: list[bool] = []
+
+    def visit(node: SpecAst, positive: bool) -> Plan:
+        if isinstance(node, Atom):
+            position = positions.setdefault(node, len(blame))
+            if position == len(blame):
+                blame.append(positive)
+            elif positive:
+                blame[position] = True
+            return position
+        if isinstance(node, Not):
+            return (visit(node.operand, not positive),)
+        if isinstance(node, And):
+            return (visit(node.left, positive), visit(node.right, positive))
         raise TypeError(f"not a spec node: {node!r}")
+
+    plan = visit(ast, True)
+    return list(positions), blame, plan
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
     """Distinct atoms in first-occurrence order."""
-    seen: set[Atom] = set()
-    result: list[Atom] = []
-    for atom in _walk(ast):
-        if atom not in seen:
-            seen.add(atom)
-            result.append(atom)
-    return result
-
-
-def atom_polarities(ast: SpecAst) -> dict[Atom, set[bool]]:
-    """Occurrence polarities per atom: True for even negation depth."""
-    polarities: dict[Atom, set[bool]] = {}
-
-    def visit(node: SpecAst, negations: int) -> None:
-        if isinstance(node, Atom):
-            polarities.setdefault(node, set()).add(negations % 2 == 0)
-        elif isinstance(node, Not):
-            visit(node.operand, negations + 1)
-        else:
-            visit(node.left, negations)
-            visit(node.right, negations)
-
-    visit(ast, 0)
-    return polarities
+    return _compile(ast)[0]
 
 
 # --------------------------------------------------------------------------
@@ -347,23 +357,37 @@ def atom_polarities(ast: SpecAst) -> dict[Atom, set[bool]]:
 # --------------------------------------------------------------------------
 
 
-def _check_atom(atom: Atom, taxonomy: Taxonomy) -> None:
+_COMPARE = {
+    Predicate.EQ: operator.eq,
+    Predicate.LT: operator.lt,
+    Predicate.GT: operator.gt,
+    Predicate.LE: operator.le,
+    Predicate.GE: operator.ge,
+}
+
+
+def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
+    """Check one atom against the taxonomy and return its probe."""
     if atom.attribute_name not in taxonomy:
         raise SpecCheckError(f"unknown attribute {atom.attribute_name!r}")
-    attribute = taxonomy.attribute(atom.attribute_name)
+    index = taxonomy.index_of(atom.attribute_name)
+    attribute = taxonomy.attributes[index]
     kind = attribute.attr_type
     literal = atom.literal
+    ranks = None
 
     if isinstance(kind, EnumType):
         if not isinstance(literal, str):
             raise SpecCheckError(
                 f"{atom.attribute_name}: expected an enum label, got {literal!r}"
             )
-        if atom.predicate in ORDERING_PREDICATES and not kind.ordered:
-            raise PredicateNotApplicableError(
-                f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
-                f"for an unordered enum"
-            )
+        if atom.predicate in ORDERING_PREDICATES:
+            if not kind.ordered:
+                raise PredicateNotApplicableError(
+                    f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
+                    f"for an unordered enum"
+                )
+            ranks = {label: rank for rank, label in enumerate(kind.labels)}
     elif isinstance(kind, BoolType):
         if not isinstance(literal, bool):
             raise SpecCheckError(
@@ -394,7 +418,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> None:
 
     if not value_in_domain(attribute, literal):
         raise SpecCheckError(
-            f"{atom.attribute_name}: literal {_render_literal(literal)} is outside "
+            f"{atom.attribute_name}: literal {render_value(literal)} is outside "
             f"the attribute's domain"
         )
 
@@ -406,9 +430,14 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> None:
                 f"declared unit {declared!r}"
             )
 
+    if ranks is not None:
+        literal = ranks[literal]
+    return (index, _COMPARE[atom.predicate], literal, ranks)
+
 
 def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
-    """Check every atom against the taxonomy (well-formedness is atom-local).
+    """Check every atom against the taxonomy (well-formedness is atom-local)
+    and compile the spec for evaluation.
 
     Raises:
         SpecCheckError: unknown attribute, literal kind mismatch,
@@ -416,14 +445,20 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
-    all_atoms = atoms(ast)
-    for atom in all_atoms:
-        _check_atom(atom, taxonomy)
+    found, blame, plan = _compile(ast)
+    probes = []
+    # A plain loop, not a generator, so that RealEqualityWarning's
+    # stacklevel names the caller of check_spec.
+    for atom in found:
+        probes.append(_check_atom(atom, taxonomy))
     return WellFormedSpec(
         ast=ast,
-        taxonomy_version=taxonomy.version,
-        mentioned_attributes=frozenset(a.attribute_name for a in all_atoms),
+        mentioned_attributes=frozenset(a.attribute_name for a in found),
         taxonomy=taxonomy,
+        atoms=tuple(found),
+        blame=tuple(blame),
+        probes=tuple(probes),
+        plan=plan,
     )
 
 
@@ -451,8 +486,6 @@ def render_value(value) -> str:
         return text
     raise ValueError(f"unsupported literal {value!r}")
 
-
-_render_literal = render_value
 
 
 def _require_identifier(text: str, what: str) -> None:

@@ -151,7 +151,7 @@ class TestParseTrace:
         trace = parse_trace(TRACE_TEXT, finite_taxonomy)
         assert len(trace) == 3
         assert [s.t for s in trace.samples] == [0.0, 0.1, 0.2]
-        assert trace.taxonomy_version == finite_taxonomy.version
+        assert trace.taxonomy is finite_taxonomy
         for sample in trace.samples:
             validate_lod(sample, finite_taxonomy)
 
@@ -230,13 +230,13 @@ class TestTraceRoundTrip:
             if rng.random() < 0.8:
                 assignments["operational_speed"] = round(rng.uniform(0, 130), 3)
             samples.append(make_lod(motorway_taxonomy, assignments, t=t, x=rng.random(), y=rng.random()))
-        trace = Trace(motorway_taxonomy.version, tuple(samples))
+        trace = Trace(motorway_taxonomy, tuple(samples))
         assert parse_trace(serialize_trace(trace, motorway_taxonomy), motorway_taxonomy) == trace
 
 
 def _trace_at(taxonomy, times):
     samples = tuple(make_lod(taxonomy, {}, t=t) for t in times)
-    return Trace(taxonomy.version, samples)
+    return Trace(taxonomy, samples)
 
 
 class TestCodOf:
@@ -255,7 +255,7 @@ class TestCodOf:
 
     def test_empty_trace(self, finite_taxonomy):
         with pytest.raises(TraceError, match="no samples"):
-            cod_of(Trace(finite_taxonomy.version, ()), 0.0)
+            cod_of(Trace(finite_taxonomy, ()), 0.0)
 
     def test_against_linear_scan(self, finite_taxonomy):
         rng = random.Random(4)
@@ -274,7 +274,7 @@ def test_trace_constructor_rejects_unsorted(finite_taxonomy):
     a = make_lod(finite_taxonomy, {}, t=2.0)
     b = make_lod(finite_taxonomy, {}, t=1.0)
     with pytest.raises(TraceError, match="strictly increasing"):
-        Trace(finite_taxonomy.version, (a, b))
+        Trace(finite_taxonomy, (a, b))
 
 
 def test_lod_time_invariant():

@@ -8,6 +8,7 @@ from oddspec import (
     Atom,
     Attribute,
     BoolType,
+    EvaluationError,
     EventKind,
     MonitorError,
     Predicate,
@@ -15,6 +16,7 @@ from oddspec import (
     Trace,
     Verdict,
     check_spec,
+    enumerate_odd,
     make_lod,
     monitor_init,
     monitor_step,
@@ -44,7 +46,7 @@ def trace_for(letters, times=None):
         make_lod(FLAG_TAXONOMY, {"flag": _LETTER_TO_FLAG[letter]}, t=t)
         for letter, t in zip(letters, times)
     )
-    return Trace(FLAG_TAXONOMY.version, samples)
+    return Trace(FLAG_TAXONOMY, samples)
 
 
 def run_letters(letters, times=None):
@@ -218,12 +220,29 @@ class TestProtocol:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(MonitorError, match="no samples"):
-            run_monitor(flag_spec(), FLAG_TAXONOMY, Trace(FLAG_TAXONOMY.version, ()))
+            run_monitor(flag_spec(), FLAG_TAXONOMY, Trace(FLAG_TAXONOMY, ()))
 
     def test_trace_version_mismatch(self):
-        trace = Trace("flag2", (make_lod(FLAG_TAXONOMY, {"flag": True}),))
+        trace = Trace(
+            Taxonomy(FLAG_TAXONOMY.attributes, version="flag2"),
+            (make_lod(FLAG_TAXONOMY, {"flag": True}),),
+        )
         with pytest.raises(MonitorError, match="version"):
             run_monitor(flag_spec(), FLAG_TAXONOMY, trace)
+
+    def test_reordered_taxonomy_with_the_same_version_is_rejected(self):
+        # the layouts differ, so evaluating by the spec's layout would read
+        # b's value as a's
+        ab = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())), version="1")
+        ba = Taxonomy((Attribute("b", BoolType()), Attribute("a", BoolType())), version="1")
+        spec = check_spec(parse_spec("a == true"), ab)
+        with pytest.raises(MonitorError, match="version"):
+            monitor_init(spec, ba)
+        with pytest.raises(EvaluationError, match="version"):
+            list(enumerate_odd(ba, spec))
+        trace = parse_trace('{"t": 0, "x": 0, "y": 0, "values": {"a": false, "b": true}}', ba)
+        with pytest.raises(MonitorError, match="version"):
+            run_monitor(spec, ab, trace)
 
     def test_manual_fold_equals_run_monitor(self):
         letters = "TUFTTFU"
@@ -287,7 +306,7 @@ class TestRunningExample(object):
                 [("motorway", False), ("motorway", True), ("rural", False), ("motorway", False)]
             )
         ]
-        trace = Trace(finite_taxonomy.version, tuple(samples))
+        trace = Trace(finite_taxonomy, tuple(samples))
         state = monitor_init(spec, finite_taxonomy)
         for sample in trace.samples:
             _, verdict, _ = monitor_step(state, sample)

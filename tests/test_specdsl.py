@@ -136,7 +136,7 @@ class TestCheck:
             "pedestrian_present",
             "operational_speed",
         }
-        assert motorway_spec.taxonomy_version == motorway_taxonomy.version
+        assert motorway_spec.taxonomy is motorway_taxonomy
 
     def test_ordering_on_unordered_enum_rejected(self, motorway_taxonomy):
         with pytest.raises(PredicateNotApplicableError):
@@ -195,9 +195,11 @@ class TestCheck:
             check_spec(parse_spec("operational_speed < -10"), motorway_taxonomy)
 
     def test_equality_on_real_warns_but_passes(self, motorway_taxonomy):
-        with pytest.warns(RealEqualityWarning):
+        with pytest.warns(RealEqualityWarning) as caught:
             spec = check_spec(parse_spec("operational_speed == 45.0"), motorway_taxonomy)
         assert spec.mentioned_attributes == {"operational_speed"}
+        # the warning names the line that called check_spec
+        assert [w.filename for w in caught] == [__file__]
 
     def test_grammar_closure(self):
         # negations and conjunctions of well-formed specs stay well-formed
