@@ -14,6 +14,7 @@ from .domain import (
     cod_of,
     enumerate_od,
     is_unknown,
+    iter_trace,
     make_lod,
     parse_lod,
     parse_trace,

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
+from typing import Iterator
 
-from .domain import parse_lod, parse_trace
-from .errors import MonitorError, OddspecError
+from .domain import iter_trace, parse_lod
+from .errors import OddspecError
 from .evaluator import diagnose
 from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import check_spec, parse_spec, render_value, serialize_spec
@@ -35,11 +37,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, decoded as they are read."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            yield from file
+        except UnicodeDecodeError as exc:
+            # the decoder failed on exc.object, which ends where reading stopped
+            byte = file.buffer.tell() - len(exc.object) + exc.start
+            raise OddspecError(f"{path}: not UTF-8 text ({exc.reason} at byte {byte})") from exc
+
+
 def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OddspecError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return "".join(_lines(path))
 
 
 def _load_taxonomy(path: str) -> Taxonomy:
@@ -71,7 +81,8 @@ def cmd_validate(args) -> int:
     for attribute in taxonomy.attributes:
         print(f"  {attribute.name}: {_type_summary(attribute.attr_type)}")
     size = domain_cardinality(taxonomy)
-    print(f"cardinality: {'infinite' if size == math.inf else size}")
+    # Decimal prints an int of any length; str() stops at 4300 digits
+    print(f"cardinality: {'infinite' if size == math.inf else format(Decimal(size), 'f')}")
     return 0
 
 
@@ -116,15 +127,12 @@ def cmd_enumerate(args) -> int:
 def cmd_monitor(args) -> int:
     taxonomy = _load_taxonomy(args.taxonomy)
     spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
-    trace = parse_trace(_read(args.trace), taxonomy)
     state = monitor_init(spec, taxonomy)
     events = []
-    for sample in trace.samples:
+    for sample in iter_trace(_lines(args.trace), taxonomy):
         _, verdict, step_events = monitor_step(state, sample)
         events.extend(step_events)
         print(f"t={render_value(sample.t)} verdict={verdict.value}")
-    if state.samples_total == 0:
-        raise MonitorError("trace has no samples")
     report = report_from_state(state, events)
     if args.report is not None:
         Path(args.report).write_text(report_json(report), encoding="utf-8")

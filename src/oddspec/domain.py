@@ -19,11 +19,13 @@ Keys missing from ``values``, or explicitly null, denote Unknown.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InfiniteDomainError, LodError, TraceError
@@ -84,17 +86,14 @@ class Trace:
 
     taxonomy: Taxonomy
     samples: tuple[Lod, ...]
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        times = tuple(sample.t for sample in self.samples)
-        for earlier, later in zip(times, times[1:]):
-            if not later > earlier:
+        for earlier, later in zip(self.samples, self.samples[1:]):
+            if not later.t > earlier.t:
                 raise TraceError(
-                    f"timestamps must be strictly increasing: {later} after {earlier}"
+                    f"timestamps must be strictly increasing: {later.t} after {earlier.t}"
                 )
-        object.__setattr__(self, "_times", times)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -212,36 +211,43 @@ def parse_lod(text: str, taxonomy: Taxonomy) -> Lod:
     return _parse_record(text, 1, taxonomy)
 
 
-def parse_trace(stream: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Trace:
-    """Parse a line-delimited trace document; blank lines are ignored.
+def iter_trace(lines: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Iterator[Lod]:
+    """Yield the samples of a trace document, one per line, as it is read;
+    blank lines are ignored. A string splits into lines as a text file
+    does: at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
 
     Raises:
         TraceError: malformed line (with line number), unknown attribute
             key, out-of-domain value, or non-increasing timestamps.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    samples: list[Lod] = []
+    if isinstance(lines, str):
+        lines = io.StringIO(lines, newline="")
+    last_t = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         sample = _parse_record(line, lineno, taxonomy)
-        if samples and not sample.t > samples[-1].t:
+        if last_t is not None and not sample.t > last_t:
             raise TraceError(
-                f"line {lineno}: timestamp {sample.t} does not increase past "
-                f"{samples[-1].t}"
+                f"line {lineno}: timestamp {sample.t} does not increase past {last_t}"
             )
-        samples.append(sample)
-    return Trace(taxonomy=taxonomy, samples=tuple(samples))
+        last_t = sample.t
+        yield sample
 
 
-def serialize_trace(trace: Trace, taxonomy: Taxonomy) -> str:
+def parse_trace(stream: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Trace:
+    """Parse a whole trace document; raises as ``iter_trace`` does."""
+    return Trace(taxonomy, tuple(iter_trace(stream, taxonomy)))
+
+
+def serialize_trace(trace: Trace) -> str:
     """Render a trace back to line-delimited JSON; Unknowns are omitted."""
     lines = []
     for sample in trace.samples:
         values = {
-            attribute.name: sample.values[i]
-            for i, attribute in enumerate(taxonomy.attributes)
-            if sample.values[i] is not UNKNOWN
+            attribute.name: value
+            for attribute, value in zip(trace.taxonomy.attributes, sample.values)
+            if value is not UNKNOWN
         }
         record = {"t": sample.t, "x": sample.x, "y": sample.y, "values": values}
         lines.append(json.dumps(record))
@@ -256,7 +262,7 @@ def cod_of(trace: Trace, now: float) -> Lod:
     """
     if not trace.samples:
         raise TraceError("trace has no samples")
-    position = bisect_right(trace._times, now)
+    position = bisect_right(trace.samples, now, key=attrgetter("t"))
     if position == 0:
         raise TraceError(
             f"time {now} precedes the first sample at t={trace.samples[0].t}"

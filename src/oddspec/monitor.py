@@ -63,17 +63,15 @@ class MonitorState:
     """Mutable fold state; owned by exactly one consumer at a time."""
 
     spec: WellFormedSpec
-    taxonomy: Taxonomy
     last_verdict: Verdict | None = None
     last_t: float | None = None
-    samples_total: int = 0
-    samples_in: int = 0
-    samples_out: int = 0
-    samples_unknown: int = 0
-    dwell: dict[Verdict, float] = field(
-        default_factory=lambda: {v: 0.0 for v in Verdict}
-    )
+    counts: dict[Verdict, int] = field(default_factory=lambda: dict.fromkeys(Verdict, 0))
+    dwell: dict[Verdict, float] = field(default_factory=lambda: dict.fromkeys(Verdict, 0.0))
     atom_violations: dict[Atom, int] = field(default_factory=dict)
+
+    @property
+    def samples_total(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,7 @@ def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
             f"spec was checked against a different taxonomy (version "
             f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
-    state = MonitorState(spec=spec, taxonomy=taxonomy)
-    state.atom_violations = {atom: 0 for atom in spec.atoms}
-    return state
+    return MonitorState(spec=spec, atom_violations=dict.fromkeys(spec.atoms, 0))
 
 
 def monitor_step(
@@ -128,15 +124,9 @@ def monitor_step(
         state.dwell[state.last_verdict] += cod.t - state.last_t
 
     sample_index = state.samples_total
-    state.samples_total += 1
-    if verdict is Verdict.TRUE:
-        state.samples_in += 1
-    elif verdict is Verdict.FALSE:
-        state.samples_out += 1
-    else:
-        state.samples_unknown += 1
+    state.counts[verdict] += 1
     for atom in report.falsified_atoms:
-        state.atom_violations[atom] = state.atom_violations.get(atom, 0) + 1
+        state.atom_violations[atom] += 1
 
     events = [
         MonitorEvent(kind=kind, t=cod.t, sample_index=sample_index, diagnosis=report)
@@ -164,8 +154,6 @@ def run_monitor(
             f"trace was recorded against a different taxonomy (version "
             f"{trace.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
-    if not trace.samples:
-        raise MonitorError("trace has no samples")
     state = monitor_init(spec, taxonomy)
     events: list[MonitorEvent] = []
     for sample in trace.samples:
@@ -177,12 +165,19 @@ def run_monitor(
 def report_from_state(
     state: MonitorState, events: list[MonitorEvent]
 ) -> MonitorReport:
-    """Assemble the report for a manually driven fold."""
+    """Assemble the report for a manually driven fold.
+
+    Raises:
+        MonitorError: the fold has consumed no sample.
+    """
+    total = state.samples_total
+    if total == 0:
+        raise MonitorError("trace has no samples")
     return MonitorReport(
-        samples_total=state.samples_total,
-        samples_in=state.samples_in,
-        samples_out=state.samples_out,
-        samples_unknown=state.samples_unknown,
+        samples_total=total,
+        samples_in=state.counts[Verdict.TRUE],
+        samples_out=state.counts[Verdict.FALSE],
+        samples_unknown=state.counts[Verdict.UNKNOWN],
         dwell_in_s=state.dwell[Verdict.TRUE],
         dwell_out_s=state.dwell[Verdict.FALSE],
         dwell_unknown_s=state.dwell[Verdict.UNKNOWN],

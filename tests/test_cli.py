@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddspec import TraceError, check_spec, eval_spec, parse_spec, parse_taxonomy, parse_trace, render_value
 from oddspec.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +164,24 @@ class TestExitCodes:
         assert result.stderr == "error: trace has no samples\n"
         assert not report.exists()
 
+    def test_monitor_streams_until_a_malformed_line(self, tmp_path):
+        records = [
+            '{"t": %d, "x": 0, "y": 0, "values": {"road_type": "rural"}}' % t for t in range(5)
+        ]
+        records[2] = "{oops"
+        trace = tmp_path / "broken.trace"
+        trace.write_text("\n".join(records) + "\n")
+        report = tmp_path / "report.json"
+        result = run_cli(
+            "monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace),
+            "--report", str(report),
+        )
+        assert result.returncode == 2
+        assert result.stdout == "t=0.0 verdict=false\nt=1.0 verdict=false\n"
+        assert result.stderr.startswith("error: line 3: ")
+        assert result.stderr.count("\n") == 1
+        assert not report.exists()
+
 
 class TestInProcessEntryPoint:
     # the same paths drive main() directly, keeping coverage fast and
@@ -232,6 +251,18 @@ class TestMalformedInputs:
         _assert_one_error_line(err)
         assert str(bad) in err and "UTF-8" in err
 
+    def test_non_utf8_byte_past_the_first_read(self, tmp_path, capsys):
+        # the trace is decoded as it is read; the error names the file's byte
+        record = '{"t": %d, "x": 0, "y": 0, "values": {"road_type": "rural"}}\n'
+        head = "".join(record % t for t in range(1000)).encode()
+        trace = tmp_path / "late.trace"
+        trace.write_bytes(head + b"\xff" + (record % 1000).encode())
+        argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") < 1000
+        assert captured.err == f"error: {trace}: not UTF-8 text (invalid start byte at byte {len(head)})\n"
+
     def test_huge_json_integer(self, tmp_path, capsys):
         taxonomy = tmp_path / "huge.json"
         taxonomy.write_text(
@@ -258,6 +289,13 @@ class TestMalformedInputs:
         )
         assert main(["validate", "--taxonomy", str(taxonomy)]) == 0
         assert f"cardinality: {'9' * 400}\n" in capsys.readouterr().out
+        # 10**6000 tuples: past str()'s 4300-digit limit
+        wide = '{"name": "%s", "type": "int", "min": 0, "max": %s}' % ("%s", "9" * 3000)
+        taxonomy.write_text(
+            '{"version": "1", "attributes": [%s, %s]}' % (wide % "m", wide % "n")
+        )
+        assert main(["validate", "--taxonomy", str(taxonomy)]) == 0
+        assert f"cardinality: 1{'0' * 6000}\n" in capsys.readouterr().out
 
 
 GOOD_RECORDS = [
@@ -271,6 +309,47 @@ SPEC_WORDS = [
     "60", "-3.5", "7.", "kmh", "#", "\n", "\u00b2", HUGE,
 ]
 RECORD_PARTS = GOOD_RECORDS + ['{"t": ', HUGE, "1e400", "null", "}", "[", "\n", '"values": {}']
+
+
+_BROKEN_LABEL = GOOD_RECORDS[1].replace('"rural"', '"ru\u2028ral"')
+
+
+@pytest.mark.parametrize(
+    "document, failing_line",
+    [
+        ("\n".join(GOOD_RECORDS) + "\n", None),
+        ("\r\n".join(GOOD_RECORDS) + "\r\n", None),
+        ("\r".join(GOOD_RECORDS), None),
+        ("\u2028".join(GOOD_RECORDS), 1),
+        ("\n".join([GOOD_RECORDS[0], _BROKEN_LABEL, GOOD_RECORDS[2]]), 2),
+        ("\f".join(GOOD_RECORDS), 1),
+        ("\x85".join(GOOD_RECORDS), 1),
+    ],
+    ids=["lf", "crlf", "cr", "u2028-between", "u2028-in-label", "ff", "nel"],
+)
+def test_a_trace_splits_into_records_alike_as_text_and_as_a_file(
+    tmp_path, capsys, document, failing_line
+):
+    # only \n, \r\n and \r end a record, in parse_trace and in the CLI
+    taxonomy = parse_taxonomy(Path(TAXONOMY).read_text())
+    spec = check_spec(parse_spec(Path(SPEC).read_text()), taxonomy)
+    trace = tmp_path / "doc.trace"
+    trace.write_bytes(document.encode())
+    code = main(["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    if failing_line is None:
+        samples = parse_trace(document, taxonomy).samples
+        assert len(samples) == len(GOOD_RECORDS)
+        assert code == 0
+        assert captured.out == "".join(
+            f"t={render_value(s.t)} verdict={eval_spec(spec, s).value}\n" for s in samples
+        )
+    else:
+        with pytest.raises(TraceError, match=f"^line {failing_line}: ") as error:
+            parse_trace(document, taxonomy)
+        assert code == 2
+        assert captured.err == f"error: {error.value}\n"
+        assert captured.out.count("\n") == failing_line - 1
 
 
 def _fuzzed(parts, joiner, whole):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from oddspec import (
     UNKNOWN,
     Attribute,
+    BoolType,
+    EnumType,
     InfiniteDomainError,
     IntType,
     Lod,
     LodError,
+    RealType,
     Taxonomy,
     Trace,
     TraceError,
@@ -20,6 +23,7 @@ from oddspec import (
     domain_cardinality,
     enumerate_od,
     is_unknown,
+    iter_trace,
     make_lod,
     parse_lod,
     parse_trace,
@@ -224,12 +228,12 @@ def test_parse_lod_single_record(finite_taxonomy):
 class TestTraceRoundTrip:
     def test_identity_on_fixture(self, finite_taxonomy):
         trace = parse_trace(TRACE_TEXT, finite_taxonomy)
-        again = parse_trace(serialize_trace(trace, finite_taxonomy), finite_taxonomy)
+        again = parse_trace(serialize_trace(trace), finite_taxonomy)
         assert again == trace
 
     def test_unknowns_are_omitted_from_output(self, finite_taxonomy):
         trace = parse_trace(TRACE_TEXT, finite_taxonomy)
-        last_line = serialize_trace(trace, finite_taxonomy).splitlines()[2]
+        last_line = serialize_trace(trace).splitlines()[2]
         assert json.loads(last_line)["values"] == {}
 
     def test_identity_on_random_traces(self, motorway_taxonomy):
@@ -247,7 +251,16 @@ class TestTraceRoundTrip:
                 assignments["operational_speed"] = round(rng.uniform(0, 130), 3)
             samples.append(make_lod(motorway_taxonomy, assignments, t=t, x=rng.random(), y=rng.random()))
         trace = Trace(motorway_taxonomy, tuple(samples))
-        assert parse_trace(serialize_trace(trace, motorway_taxonomy), motorway_taxonomy) == trace
+        assert parse_trace(serialize_trace(trace), motorway_taxonomy) == trace
+
+    def test_names_follow_the_trace_taxonomy(self):
+        # a trace laid out by (b, a) must not be written with (a, b)'s names
+        ba = Taxonomy((Attribute("b", BoolType()), Attribute("a", BoolType())), version="1")
+        trace = parse_trace('{"t": 0, "x": 0, "y": 0, "values": {"a": false, "b": true}}', ba)
+        assert trace.samples[0].values == (True, False)
+        text = serialize_trace(trace)
+        assert json.loads(text)["values"] == {"a": False, "b": True}
+        assert parse_trace(text, ba) == trace
 
 
 def _trace_at(taxonomy, times):
@@ -314,3 +327,80 @@ def test_make_lod_fuzz(finite_taxonomy, road, ped, t):
         assignments["pedestrian_present"] = ped
     lod = make_lod(finite_taxonomy, assignments, t=t)
     validate_lod(lod, finite_taxonomy)
+
+
+FUZZ_TAXONOMY = Taxonomy(
+    (
+        Attribute("road", EnumType(("motorway", "rural"))),
+        Attribute("light", EnumType(("dark", "dusk", "day"), ordered=True)),
+        Attribute("wet", BoolType()),
+        Attribute("lanes", IntType(minimum=1, maximum=4)),
+        Attribute("speed", RealType("kmh", minimum=0.0, maximum=130.0)),
+    )
+)
+_FUZZ_NAMES = [attribute.name for attribute in FUZZ_TAXONOMY.attributes]
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-1, max_value=5)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(min_value=-10, max_value=150)
+    | st.floats()
+    | st.sampled_from(["motorway", "rural", "dark", "dusk", "day", "", "Motorway"])
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _record_lines(draw):
+    """A trace record with arbitrary values; some records are also broken
+    in one place: a key's value, a missing or an extra key, or the text."""
+    number = st.floats(min_value=0, max_value=100)
+    record = {
+        "t": draw(number),
+        "x": draw(number),
+        "y": draw(number),
+        "values": draw(st.dictionaries(st.sampled_from(_FUZZ_NAMES), _JSON_SCALARS, max_size=5)),
+    }
+    flaw = draw(st.sampled_from([None, None, None, "value", "drop", "extra", "text"]))
+    if flaw == "value":
+        record[draw(st.sampled_from(sorted(record)))] = draw(_JSON_VALUES)
+    elif flaw == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif flaw == "extra":
+        record[draw(st.text(max_size=3))] = draw(_JSON_SCALARS)
+    text = json.dumps(record)
+    if flaw == "text":
+        cut = draw(st.integers(min_value=0, max_value=len(text)))
+        text = draw(st.sampled_from([text[:cut], text[cut:] + text[:cut], text[:cut] + "\x00"]))
+    return text
+
+
+def _assert_sound(lod):
+    assert isinstance(lod, Lod)
+    assert len(lod.values) == len(FUZZ_TAXONOMY)
+    for attribute, value in zip(FUZZ_TAXONOMY.attributes, lod.values):
+        assert value is UNKNOWN or value_in_domain(attribute, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_record_lines() | st.text(max_size=40), max_size=6))
+def test_record_parser_yields_sound_samples_or_a_trace_error(lines):
+    for line in lines:
+        try:
+            _assert_sound(parse_lod(line, FUZZ_TAXONOMY))
+        except TraceError:
+            pass
+    times = []
+    try:
+        for lod in iter_trace(lines, FUZZ_TAXONOMY):
+            _assert_sound(lod)
+            times.append(lod.t)
+    except TraceError:
+        pass
+    assert all(earlier < later for earlier, later in zip(times, times[1:]))
