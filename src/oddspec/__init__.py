@@ -38,6 +38,7 @@ from .errors import (
 from .evaluator import (
     Diagnosis,
     Verdict,
+    count_odd,
     diagnose,
     enumerate_odd,
     eval_atom,

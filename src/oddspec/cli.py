@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .domain import iter_trace, parse_lod
 from .errors import OddspecError
-from .evaluator import diagnose
+from .evaluator import count_odd, diagnose
 from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import (
@@ -76,6 +76,9 @@ def _type_summary(attr_type) -> str:
 
 def cmd_validate(args) -> int:
     taxonomy = _load_taxonomy(args.taxonomy)
+    odd_size = None
+    if args.spec is not None:
+        odd_size = count_odd(taxonomy, check_spec(parse_spec(_read(args.spec)), taxonomy))
     print(f"version: {taxonomy.version}")
     print(f"attributes: {len(taxonomy)}")
     for attribute in taxonomy.attributes:
@@ -83,6 +86,8 @@ def cmd_validate(args) -> int:
     size = domain_cardinality(taxonomy)
     # Decimal prints an int of any length; str() stops at 4300 digits
     print(f"cardinality: {'infinite' if size == math.inf else format(Decimal(size), 'f')}")
+    if odd_size is not None:
+        print(f"odd cardinality: {format(Decimal(odd_size), 'f')}")
     return 0
 
 
@@ -148,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = commands.add_parser("validate", help="validate a taxonomy file")
     validate.add_argument("--taxonomy", required=True, metavar="PATH")
+    validate.add_argument(
+        "--spec", metavar="PATH", help="also count the tuples of the domain this spec admits"
+    )
     validate.set_defaults(func=cmd_validate)
 
     check = commands.add_parser("check", help="check a spec against a taxonomy")

@@ -151,11 +151,8 @@ def value_space(attribute: Attribute) -> tuple[AttributeValue, ...]:
     )
 
 
-def enumerate_od(taxonomy: Taxonomy) -> Iterator[tuple[AttributeValue, ...]]:
-    """Yield every element of the full operational domain exactly once.
-
-    Order is lexicographic by attribute position, then by value order
-    within each attribute. The empty taxonomy yields one empty tuple.
+def value_spaces(taxonomy: Taxonomy) -> list[tuple[AttributeValue, ...]]:
+    """The value space of every attribute, in taxonomy order.
 
     Raises:
         InfiniteDomainError: if any attribute is real-valued or unbounded.
@@ -165,8 +162,19 @@ def enumerate_od(taxonomy: Taxonomy) -> Iterator[tuple[AttributeValue, ...]]:
             "the domain is infinite and cannot be enumerated; "
             "it can only be described"
         )
-    spaces = [value_space(attribute) for attribute in taxonomy.attributes]
-    return iter(itertools.product(*spaces))
+    return [value_space(attribute) for attribute in taxonomy.attributes]
+
+
+def enumerate_od(taxonomy: Taxonomy) -> Iterator[tuple[AttributeValue, ...]]:
+    """Yield every element of the full operational domain exactly once.
+
+    Order is lexicographic by attribute position, then by value order
+    within each attribute. The empty taxonomy yields one empty tuple.
+
+    Raises:
+        InfiniteDomainError: if any attribute is real-valued or unbounded.
+    """
+    return iter(itertools.product(*value_spaces(taxonomy)))
 
 
 _RECORD_KEYS = {"t", "x", "y", "values"}

@@ -16,10 +16,12 @@ operators.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .domain import UNKNOWN, AttributeValue, Lod, enumerate_od
+from .domain import UNKNOWN, AttributeValue, Lod, value_spaces
 from .errors import (
     EvaluationError,
     PredicateNotApplicableError,
@@ -82,7 +84,7 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
         )
 
 
-def _verdicts(probes: Iterable[Probe], values: tuple[AttributeValue, ...]) -> list[Verdict]:
+def _verdicts(probes: Iterable[Probe], values: Sequence[AttributeValue]) -> list[Verdict]:
     """One verdict per probe: Unknown for an unmeasured value, else the
     comparison of the value (or its label rank) with the literal."""
     return [
@@ -157,26 +159,94 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
     return _fold(spec.plan, verdicts) is Verdict.TRUE
 
 
-def enumerate_odd(
-    taxonomy: Taxonomy, spec: WellFormedSpec
-) -> Iterator[tuple[AttributeValue, ...]]:
-    """The satisfying subset of the full domain, in enumeration order.
-
-    Atoms are time/space-independent, so membership reduces to filtering
-    the finite enumeration by verdict.
-
-    Raises:
-        EvaluationError: the spec was checked against a taxonomy that is
-            not equal to ``taxonomy``.
-    """
+def _spaces_of(taxonomy: Taxonomy, spec: WellFormedSpec) -> list[tuple[AttributeValue, ...]]:
     if spec.taxonomy != taxonomy:
         raise EvaluationError(
             f"spec was checked against a different taxonomy (version "
             f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
         )
-    for values in enumerate_od(taxonomy):
-        if _fold(spec.plan, _verdicts(spec.probes, values)) is Verdict.TRUE:
-            yield values
+    return value_spaces(taxonomy)
+
+
+def _admitting_prefixes(
+    spec: WellFormedSpec,
+    spaces: list[tuple[AttributeValue, ...]],
+    order: Sequence[int],
+) -> Iterator[tuple[list[AttributeValue], int]]:
+    """Depth-first walk that assigns positions in ``order``, one per level,
+    each through its value space; yields ``(values, depth)`` for every
+    assignment of the first ``depth`` positions on which the spec is True,
+    unassigned positions being ``UNKNOWN``. ``values`` is the walk's live
+    assignment: read it before resuming the walk.
+
+    A False assignment prunes its subtree and a True one is yielded but
+    not extended, since a decided verdict holds for every completion. An
+    Unknown one descends to the next position; once every position the
+    spec mentions is assigned the verdict is decided, so the walk never
+    descends past the last of them. The walk is a loop over a stack of
+    value iterators, one per assigned position, never a recursion.
+    """
+    probes, plan = spec.probes, spec.plan
+    values: list[AttributeValue] = [UNKNOWN] * len(spaces)
+    verdict = _fold(plan, _verdicts(probes, values))
+    if verdict is Verdict.TRUE:
+        yield values, 0
+    stack = [iter(spaces[order[0]])] if verdict is Verdict.UNKNOWN else []
+    while stack:
+        depth = len(stack)
+        position = order[depth - 1]
+        for value in stack[-1]:
+            values[position] = value
+            verdict = _fold(plan, _verdicts(probes, values))
+            if verdict is Verdict.TRUE:
+                yield values, depth
+            elif verdict is Verdict.UNKNOWN:
+                stack.append(iter(spaces[order[depth]]))
+                break
+        else:
+            values[position] = UNKNOWN
+            stack.pop()
+
+
+def enumerate_odd(
+    taxonomy: Taxonomy, spec: WellFormedSpec
+) -> Iterator[tuple[AttributeValue, ...]]:
+    """The satisfying subset of the full domain, in enumeration order.
+
+    The spec is evaluated on prefixes of the enumeration, with every later
+    attribute Unknown, not on every tuple. A False prefix is skipped with
+    all its completions and a True one yields all of them unevaluated:
+    this is sound because strong-Kleene verdicts are monotone, so a True
+    or False verdict on a partial sample holds for every completion of it.
+    The walk never branches on an attribute after the last one the spec
+    mentions.
+
+    Raises:
+        EvaluationError: the spec was checked against a taxonomy that is
+            not equal to ``taxonomy``.
+        InfiniteDomainError: if any attribute is real-valued or unbounded.
+    """
+    spaces = _spaces_of(taxonomy, spec)
+    for values, depth in _admitting_prefixes(spec, spaces, range(len(spaces))):
+        prefix = tuple(values[:depth])
+        for rest in itertools.product(*spaces[depth:]):
+            yield prefix + rest
+
+
+def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
+    """Number of tuples ``enumerate_odd`` yields, computed without listing
+    them: the walk adds up the completions of every True prefix. It
+    assigns the attributes the spec mentions first, as the count does not
+    depend on the order.
+
+    Raises:
+        EvaluationError, InfiniteDomainError: as ``enumerate_odd``.
+    """
+    spaces = _spaces_of(taxonomy, spec)
+    mentioned = sorted({index for index, *_ in spec.probes})
+    order = mentioned + sorted(set(range(len(spaces))) - set(mentioned))
+    sizes = [len(spaces[position]) for position in order]
+    return sum(math.prod(sizes[depth:]) for _, depth in _admitting_prefixes(spec, spaces, order))
 
 
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:

@@ -98,7 +98,8 @@ class WellFormedSpec:
     under an even number of negations. ``probes[i]`` is atom ``i``'s
     ``(value index, comparator, literal or its label rank, rank table or
     None)``. ``plan`` is the tree over atom positions: an int is an atom, a
-    1-tuple negates its element and a 2-tuple conjoins its two.
+    1-tuple negates its element and a 2-tuple conjoins its two; ``not not``
+    chains are folded away, so no 1-tuple holds another.
     """
 
     ast: SpecAst
@@ -315,6 +316,8 @@ def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], Plan]:
                 blame[position] = True
             return position
         if isinstance(node, Not):
+            if isinstance(node.operand, Not):  # not not p folds to p
+                return visit(node.operand.operand, positive)
             return (visit(node.operand, not positive),)
         if isinstance(node, And):
             return (visit(node.left, positive), visit(node.right, positive))

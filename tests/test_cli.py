@@ -192,6 +192,17 @@ class TestInProcessEntryPoint:
         captured = capsys.readouterr()
         assert "cardinality: infinite" in captured.out
 
+    def test_validate_counts_the_odd(self, capsys):
+        assert main(["validate", "--taxonomy", FINITE, "--spec", FINITE_SPEC]) == 0
+        assert capsys.readouterr().out.endswith("cardinality: 6\nodd cardinality: 1\n")
+        # an infinite domain cannot be counted: one error line, nothing else
+        assert main(["validate", "--taxonomy", TAXONOMY, "--spec", SPEC]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the domain is infinite and cannot be enumerated; it can only be described\n"
+        )
+
     def test_inline_lod_detection(self, capsys):
         inline = '{"t": 0, "x": 0, "y": 0, "values": {"road_type": "rural"}}'
         assert main(["eval", "--taxonomy", TAXONOMY, "--spec", SPEC, "--lod", inline]) == 0

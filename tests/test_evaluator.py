@@ -8,8 +8,10 @@ from oddspec import (
     And,
     Atom,
     Attribute,
+    BoolType,
     EnumType,
     EvaluationError,
+    InfiniteDomainError,
     Lod,
     Not,
     Predicate,
@@ -18,6 +20,7 @@ from oddspec import (
     UnknownValueError,
     Verdict,
     check_spec,
+    count_odd,
     diagnose,
     enumerate_od,
     enumerate_odd,
@@ -34,6 +37,8 @@ from oracles import (
     assignment_of,
     eval_two_valued,
     label_orders_of,
+    nested_loop_od,
+    random_atom,
     random_spec,
 )
 
@@ -285,6 +290,76 @@ class TestEnumerateOdd:
             assert set(chosen) <= set(everything)
             # enumeration order is inherited from the full enumeration
             assert chosen == [v for v in everything if v in set(chosen)]
+
+
+def _oracle_odd(taxonomy, ast):
+    orders = label_orders_of(taxonomy)
+    return [
+        values
+        for values in nested_loop_od(taxonomy)
+        if eval_two_valued(ast, assignment_of(taxonomy, values), orders)
+    ]
+
+
+class TestPrunedEnumeration:
+    # the pruned walk must list exactly the filtered domain, in its order
+
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_random_specs_match_the_filtered_domain_in_order(self, taxonomy):
+        rng = random.Random(f"pruned-walk:{taxonomy.version}")
+        for _ in range(20):
+            ast = random_spec(rng, taxonomy, 4)
+            spec = check_spec(ast, taxonomy)
+            expected = _oracle_odd(taxonomy, ast)
+            assert list(enumerate_odd(taxonomy, spec)) == expected
+            assert count_odd(taxonomy, spec) == len(expected)
+
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_fixed_specs_match_the_filtered_domain_in_order(self, taxonomy):
+        rng = random.Random(f"pruned-fixed:{taxonomy.version}")
+        first = random_atom(rng, taxonomy)
+        last_attribute = taxonomy.attributes[-1]
+        last = Atom(last_attribute.name, Predicate.EQ, _value_spaces(taxonomy)[-1][-1])
+        cases = {
+            "tautology": (Not(And(first, Not(first))), nested_loop_od(taxonomy)),
+            "contradiction": (And(first, Not(first)), []),
+            "last attribute only": (last, None),
+        }
+        for name, (ast, expected) in cases.items():
+            oracle = _oracle_odd(taxonomy, ast)
+            if expected is not None:
+                assert oracle == expected, name
+            spec = check_spec(ast, taxonomy)
+            assert list(enumerate_odd(taxonomy, spec)) == oracle, name
+            assert count_odd(taxonomy, spec) == len(oracle), name
+
+    def test_deep_taxonomy_walks_without_recursion(self):
+        # 2**2000 tuples: a walk that recursed per attribute would hit the
+        # recursion limit, one that filtered the domain would never finish
+        size = 2000
+        taxonomy = Taxonomy(tuple(Attribute(f"a{i}", BoolType()) for i in range(size)))
+        for position in (1500, 0):
+            spec = check_spec(parse_spec(f"a{position} == false"), taxonomy)
+            expected = tuple(i != position for i in range(size))
+            assert next(enumerate_odd(taxonomy, spec)) == expected
+            assert count_odd(taxonomy, spec) == 2 ** (size - 1)
+
+    def test_checks_run_on_the_first_next(self, motorway_taxonomy, motorway_spec, finite_taxonomy):
+        odd = enumerate_odd(motorway_taxonomy, motorway_spec)
+        with pytest.raises(InfiniteDomainError) as raised:
+            next(odd)
+        with pytest.raises(InfiniteDomainError) as from_od:
+            enumerate_od(motorway_taxonomy)
+        assert str(raised.value) == str(from_od.value)
+        with pytest.raises(InfiniteDomainError):
+            count_odd(motorway_taxonomy, motorway_spec)
+        elsewhere = Taxonomy(finite_taxonomy.attributes, version="2")
+        other = check_spec(parse_spec("road_type == motorway"), elsewhere)
+        odd = enumerate_odd(finite_taxonomy, other)
+        with pytest.raises(EvaluationError, match="version"):
+            next(odd)
+        with pytest.raises(EvaluationError, match="version"):
+            count_odd(finite_taxonomy, other)
 
 
 class TestDiagnose:

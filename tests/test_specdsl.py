@@ -8,6 +8,7 @@ from oddspec import (
     And,
     Atom,
     Attribute,
+    BoolType,
     EnumType,
     IntType,
     Not,
@@ -274,6 +275,20 @@ def _accepts(ast, taxonomy) -> bool:
         return True
     except SpecCheckError:
         return False
+
+
+class TestPlan:
+    def test_double_negation_folds_away(self):
+        taxonomy = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())))
+        plain = check_spec(parse_spec("a == true"), taxonomy)
+        for text in ("not not a == true", "not not not not a == true"):
+            spec = check_spec(parse_spec(text), taxonomy)
+            assert spec.plan == plain.plan
+            assert spec.blame == plain.blame
+            assert serialize_spec(spec.ast) == text
+        mixed = check_spec(parse_spec("not not not (a == true and not not b == false)"), taxonomy)
+        assert mixed.plan == ((0, 1),)
+        assert mixed.blame == (False, False)
 
 
 class TestAtoms:
