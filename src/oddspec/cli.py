@@ -14,9 +14,9 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterator
 
-from .domain import iter_trace, parse_lod
+from .domain import enumerate_od, iter_trace, parse_lod
 from .errors import OddspecError
-from .evaluator import count_odd, diagnose
+from .evaluator import count_odd, diagnose, enumerate_odd
 from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import (
@@ -116,12 +116,8 @@ def cmd_eval(args) -> int:
 def cmd_enumerate(args) -> int:
     taxonomy = _load_taxonomy(args.taxonomy)
     if args.spec is None:
-        from .domain import enumerate_od
-
         tuples = enumerate_od(taxonomy)
     else:
-        from .evaluator import enumerate_odd
-
         spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
         tuples = enumerate_odd(taxonomy, spec)
     for values in tuples:

@@ -23,10 +23,11 @@ import io
 import itertools
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InfiniteDomainError, LodError, TraceError
 from .taxonomy import (
@@ -132,11 +133,14 @@ def make_lod(
     return Lod(t=float(t), x=float(x), y=float(y), values=tuple(values))
 
 
-def value_space(attribute: Attribute) -> tuple[AttributeValue, ...]:
+def value_space(attribute: Attribute) -> Sequence[AttributeValue]:
     """All values of a finite attribute, in enumeration order.
 
     Enums enumerate in label declaration order, booleans as (true, false),
-    bounded ints ascending.
+    bounded ints ascending, as a ``range`` that holds no value in memory.
+    A real or unbounded attribute, or an int one with more than
+    ``sys.maxsize`` values (too many for ``len`` and ``itertools.product``),
+    raises ``InfiniteDomainError``.
     """
     kind = attribute.attr_type
     if isinstance(kind, EnumType):
@@ -144,18 +148,23 @@ def value_space(attribute: Attribute) -> tuple[AttributeValue, ...]:
     if isinstance(kind, BoolType):
         return (True, False)
     if isinstance(kind, IntType) and kind.minimum is not None and kind.maximum is not None:
-        return tuple(range(kind.minimum, kind.maximum + 1))
+        if kind.maximum - kind.minimum >= sys.maxsize:
+            raise InfiniteDomainError(
+                f"attribute {attribute.name!r} has more than {sys.maxsize} values "
+                f"and cannot be enumerated"
+            )
+        return range(kind.minimum, kind.maximum + 1)
     raise InfiniteDomainError(
         f"attribute {attribute.name!r} has an infinite data type; "
         f"an extensional enumeration does not exist"
     )
 
 
-def value_spaces(taxonomy: Taxonomy) -> list[tuple[AttributeValue, ...]]:
+def value_spaces(taxonomy: Taxonomy) -> list[Sequence[AttributeValue]]:
     """The value space of every attribute, in taxonomy order.
 
     Raises:
-        InfiniteDomainError: if any attribute is real-valued or unbounded.
+        InfiniteDomainError: if any attribute is real, unbounded or too wide (see ``value_space``).
     """
     if domain_cardinality(taxonomy) == math.inf:
         raise InfiniteDomainError(

@@ -35,7 +35,7 @@ class TraceError(OddspecError):
 
 
 class InfiniteDomainError(OddspecError):
-    """Enumeration was requested for a domain that is not finite."""
+    """Enumeration was requested for a domain that cannot be enumerated: infinite or too wide."""
 
 
 class UnknownValueError(OddspecError):

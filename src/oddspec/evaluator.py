@@ -1,9 +1,11 @@
 """Evaluation of specifications over domain samples.
 
 Verdicts are three-valued (strong Kleene): an atom over an unmeasured
-attribute is Unknown; negation maps Unknown to Unknown; conjunction is
-False-dominant and True-neutral. Restricted to fully measured samples the
-semantics collapses to ordinary two-valued logic.
+attribute is Unknown. Evaluation codes a verdict as its rank in the truth
+order FALSE < UNKNOWN < TRUE (0, 1, 2): conjunction is ``min``, negation
+is ``2 - r`` and disjunction is ``max``. A ``Verdict`` is built only where
+a result leaves the module. On fully measured samples the semantics
+collapses to ordinary two-valued logic.
 
 Attributes a specification never mentions cannot influence its verdict:
 silence permits all values (the permissive reading of partial coverage).
@@ -42,20 +44,16 @@ class Verdict(enum.Enum):
         return Verdict.TRUE if value else Verdict.FALSE
 
 
+_VERDICT = (Verdict.FALSE, Verdict.UNKNOWN, Verdict.TRUE)
+_RANK = {verdict: rank for rank, verdict in enumerate(_VERDICT)}
+
+
 def kleene_not(verdict: Verdict) -> Verdict:
-    if verdict is Verdict.TRUE:
-        return Verdict.FALSE
-    if verdict is Verdict.FALSE:
-        return Verdict.TRUE
-    return Verdict.UNKNOWN
+    return _VERDICT[2 - _RANK[verdict]]
 
 
 def kleene_and(left: Verdict, right: Verdict) -> Verdict:
-    if left is Verdict.FALSE or right is Verdict.FALSE:
-        return Verdict.FALSE
-    if left is Verdict.TRUE and right is Verdict.TRUE:
-        return Verdict.TRUE
-    return Verdict.UNKNOWN
+    return _VERDICT[min(_RANK[left], _RANK[right])]
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,6 @@ class Diagnosis:
     unknown_atoms: tuple[Atom, ...]
 
 
-_FROM_BOOL = (Verdict.FALSE, Verdict.TRUE)
-
-
 def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
     if len(lod.values) != len(taxonomy):
         raise EvaluationError(
@@ -84,24 +79,24 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
         )
 
 
-def _verdicts(probes: Iterable[Probe], values: Sequence[AttributeValue]) -> list[Verdict]:
-    """One verdict per probe: Unknown for an unmeasured value, else the
-    comparison of the value (or its label rank) with the literal."""
+def _verdicts(probes: Iterable[Probe], values: Sequence[AttributeValue]) -> list[int]:
+    """One rank per probe: 1 (Unknown) for an unmeasured value, else 2 or 0
+    as the value (or its label rank) compares with the literal or not."""
     return [
-        Verdict.UNKNOWN
-        if (value := values[index]) is UNKNOWN
-        else _FROM_BOOL[compare(value if ranks is None else ranks[value], literal)]
+        1 if (value := values[index]) is UNKNOWN
+        else 2 * compare(value if ranks is None else ranks[value], literal)
         for index, compare, literal, ranks in probes
     ]
 
 
-def _fold(plan: Plan, verdicts: list[Verdict]) -> Verdict:
-    """Kleene-fold a compiled plan over its atom verdicts."""
+def _fold(plan: Plan, ranks: list[int]) -> int:
+    """Kleene-fold a compiled plan over its atom ranks. A False (0) left
+    operand decides a conjunction, so its right operand is not folded."""
     if type(plan) is int:
-        return verdicts[plan]
+        return ranks[plan]
     if len(plan) == 1:
-        return kleene_not(_fold(plan[0], verdicts))
-    return kleene_and(_fold(plan[0], verdicts), _fold(plan[1], verdicts))
+        return 2 - _fold(plan[0], ranks)
+    return (left := _fold(plan[0], ranks)) and min(left, _fold(plan[1], ranks))
 
 
 def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
@@ -128,7 +123,7 @@ def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
         raise EvaluationError(
             f"cannot compare: {exc}; was the spec checked against this taxonomy?"
         ) from None
-    return _verdicts((probe,), lod.values)[0]
+    return _VERDICT[_verdicts((probe,), lod.values)[0]]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
@@ -139,7 +134,7 @@ def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
     checked, its values are trusted.
     """
     _check_arity(lod, spec.taxonomy)
-    return _fold(spec.plan, _verdicts(spec.probes, lod.values))
+    return _VERDICT[_fold(spec.plan, _verdicts(spec.probes, lod.values))]
 
 
 def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
@@ -150,16 +145,14 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
             then undefined, not false.
     """
     _check_arity(lod, spec.taxonomy)
-    verdicts = _verdicts(spec.probes, lod.values)
-    if Verdict.UNKNOWN in verdicts:
-        name = spec.atoms[verdicts.index(Verdict.UNKNOWN)].attribute_name
-        raise UnknownValueError(
-            f"attribute {name!r} is unmeasured; membership is undefined"
-        )
-    return _fold(spec.plan, verdicts) is Verdict.TRUE
+    ranks = _verdicts(spec.probes, lod.values)
+    if 1 in ranks:
+        name = spec.atoms[ranks.index(1)].attribute_name
+        raise UnknownValueError(f"attribute {name!r} is unmeasured; membership is undefined")
+    return _fold(spec.plan, ranks) == 2
 
 
-def _spaces_of(taxonomy: Taxonomy, spec: WellFormedSpec) -> list[tuple[AttributeValue, ...]]:
+def _spaces_of(taxonomy: Taxonomy, spec: WellFormedSpec) -> list[Sequence[AttributeValue]]:
     if spec.taxonomy != taxonomy:
         raise EvaluationError(
             f"spec was checked against a different taxonomy (version "
@@ -170,7 +163,7 @@ def _spaces_of(taxonomy: Taxonomy, spec: WellFormedSpec) -> list[tuple[Attribute
 
 def _admitting_prefixes(
     spec: WellFormedSpec,
-    spaces: list[tuple[AttributeValue, ...]],
+    spaces: list[Sequence[AttributeValue]],
     order: Sequence[int],
 ) -> Iterator[tuple[list[AttributeValue], int]]:
     """Depth-first walk that assigns positions in ``order``, one per level,
@@ -188,19 +181,19 @@ def _admitting_prefixes(
     """
     probes, plan = spec.probes, spec.plan
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
-    verdict = _fold(plan, _verdicts(probes, values))
-    if verdict is Verdict.TRUE:
+    rank = _fold(plan, _verdicts(probes, values))
+    if rank == 2:
         yield values, 0
-    stack = [iter(spaces[order[0]])] if verdict is Verdict.UNKNOWN else []
+    stack = [iter(spaces[order[0]])] if rank == 1 else []
     while stack:
         depth = len(stack)
         position = order[depth - 1]
         for value in stack[-1]:
             values[position] = value
-            verdict = _fold(plan, _verdicts(probes, values))
-            if verdict is Verdict.TRUE:
+            rank = _fold(plan, _verdicts(probes, values))
+            if rank == 2:
                 yield values, depth
-            elif verdict is Verdict.UNKNOWN:
+            elif rank == 1:
                 stack.append(iter(spaces[order[depth]]))
                 break
         else:
@@ -224,7 +217,8 @@ def enumerate_odd(
     Raises:
         EvaluationError: the spec was checked against a taxonomy that is
             not equal to ``taxonomy``.
-        InfiniteDomainError: if any attribute is real-valued or unbounded.
+        InfiniteDomainError: if any attribute is real-valued, unbounded or
+            too wide to enumerate (see ``value_space``).
     """
     spaces = _spaces_of(taxonomy, spec)
     for values, depth in _admitting_prefixes(spec, spaces, range(len(spaces))):
@@ -252,11 +246,11 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    verdicts = _verdicts(spec.probes, lod.values)
+    ranks = _verdicts(spec.probes, lod.values)
     falsified, unknown = [], []
-    for atom, verdict, blamed in zip(spec.atoms, verdicts, spec.blame):
-        if verdict is Verdict.FALSE and blamed:
+    for atom, rank, blamed in zip(spec.atoms, ranks, spec.blame):
+        if rank == 0 and blamed:
             falsified.append(atom)
-        elif verdict is Verdict.UNKNOWN:
+        elif rank == 1:
             unknown.append(atom)
-    return Diagnosis(_fold(spec.plan, verdicts), tuple(falsified), tuple(unknown))
+    return Diagnosis(_VERDICT[_fold(spec.plan, ranks)], tuple(falsified), tuple(unknown))

@@ -57,6 +57,39 @@ def eval_two_valued(node, values_by_name: dict, label_orders: dict) -> bool:
     return value >= literal
 
 
+# Strong Kleene truth tables, written out rather than derived from an
+# ordering of the three values.
+_KLEENE_NOT = {"true": "false", "false": "true", "unknown": "unknown"}
+_KLEENE_AND = {
+    ("true", "true"): "true",
+    ("true", "false"): "false",
+    ("true", "unknown"): "unknown",
+    ("false", "true"): "false",
+    ("false", "false"): "false",
+    ("false", "unknown"): "false",
+    ("unknown", "true"): "unknown",
+    ("unknown", "false"): "false",
+    ("unknown", "unknown"): "unknown",
+}
+
+
+def eval_kleene(node, values_by_name: dict, label_orders: dict) -> str:
+    """Reference three-valued verdict ("true", "false" or "unknown") of an
+    AST over a partial assignment, where ``None`` marks an unmeasured value.
+    """
+    if isinstance(node, Not):
+        return _KLEENE_NOT[eval_kleene(node.operand, values_by_name, label_orders)]
+    if isinstance(node, And):
+        return _KLEENE_AND[
+            eval_kleene(node.left, values_by_name, label_orders),
+            eval_kleene(node.right, values_by_name, label_orders),
+        ]
+    assert isinstance(node, Atom)
+    if values_by_name[node.attribute_name] is None:
+        return "unknown"
+    return "true" if eval_two_valued(node, values_by_name, label_orders) else "false"
+
+
 def label_orders_of(taxonomy: Taxonomy) -> dict:
     return {
         a.name: list(a.attr_type.labels)

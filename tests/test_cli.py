@@ -1,4 +1,5 @@
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -308,6 +309,26 @@ class TestMalformedInputs:
         assert main(["validate", "--taxonomy", str(taxonomy)]) == 0
         assert f"cardinality: 1{'0' * 6000}\n" in capsys.readouterr().out
 
+    def test_int_wider_than_sys_maxsize_is_refused(self, tmp_path, capsys):
+        # 10**20 + 1 values: more than len() or itertools.product can take
+        taxonomy = tmp_path / "wide.json"
+        taxonomy.write_text(
+            '{"version": "1", "attributes": [{"name": "a", "type": "int", "min": 0, '
+            '"max": %d}, {"name": "b", "type": "bool"}]}' % 10**20
+        )
+        spec = tmp_path / "b.spec"
+        spec.write_text("b == true\n")
+        for argv in (
+            ["validate", "--taxonomy", str(taxonomy), "--spec", str(spec)],
+            ["enumerate", "--taxonomy", str(taxonomy)],
+            ["enumerate", "--taxonomy", str(taxonomy), "--spec", str(spec)],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            _assert_one_error_line(captured.err)
+            assert "attribute 'a' has more than" in captured.err
+
 
 GOOD_RECORDS = [
     '{"t": 0, "x": 0, "y": 0, "values": {"road_type": "motorway", "pedestrian_present": false, "operational_speed": 30.0}}',
@@ -372,19 +393,58 @@ def _fuzzed(parts, joiner, whole):
     )
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True) | st.sampled_from(
+    ["and", "true", "Road", "a-b", "", None, 7]
+)
+_BOUNDS = st.one_of(
+    st.none(), st.integers(-10**25, 10**25), st.floats(), st.booleans(), st.text(max_size=3)
+)
+# near-valid attributes, one shape per type tag, with values of the right
+# and of wrong kinds; the arbitrary JSON covers every other shape
+_ATTRIBUTE = st.one_of(
+    st.fixed_dictionaries({"name": _NAMES, "type": st.just("bool")}),
+    st.fixed_dictionaries(
+        {"name": _NAMES, "type": st.just("enum"), "labels": st.lists(_NAMES, max_size=3)},
+        optional={"ordered": st.booleans() | st.none()},
+    ),
+    st.fixed_dictionaries(
+        {"name": _NAMES, "type": st.sampled_from(["int", "real"])},
+        optional={"min": _BOUNDS, "max": _BOUNDS, "unit": st.sampled_from(["kmh", None, 60])},
+    ),
+    _JSON,
+)
+_TAXONOMY_DOCUMENT = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"version": st.just("1"), "attributes": st.lists(_ATTRIBUTE, max_size=4)}
+    ),
+).map(lambda document: json.dumps(document).encode())
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     spec=_fuzzed(SPEC_WORDS, " ", [Path(SPEC).read_text(), "not road_type == rural"]),
     trace=_fuzzed(RECORD_PARTS, "\n", ["\n".join(GOOD_RECORDS)]),
     lod=_fuzzed(RECORD_PARTS, "", GOOD_RECORDS),
+    taxonomy=st.one_of(
+        _TAXONOMY_DOCUMENT, st.binary(max_size=200), st.just(Path(TAXONOMY).read_bytes())
+    ),
 )
-def test_no_input_ends_in_a_traceback(spec, trace, lod):
+def test_no_input_ends_in_a_traceback(spec, trace, lod, taxonomy):
     with tempfile.TemporaryDirectory() as directory:
         paths = {}
-        for name, data in (("spec", spec), ("trace", trace), ("lod", lod)):
+        inputs = {"spec": spec, "trace": trace, "lod": lod, "taxonomy": taxonomy}
+        for name, data in inputs.items():
             paths[name] = str(Path(directory) / name)
             Path(paths[name]).write_bytes(data)
         for argv in (
+            ["validate", "--taxonomy", paths["taxonomy"]],
             ["check", "--taxonomy", TAXONOMY, "--spec", paths["spec"]],
             ["eval", "--taxonomy", TAXONOMY, "--spec", paths["spec"], "--lod", paths["lod"]],
             ["monitor", "--taxonomy", TAXONOMY, "--spec", paths["spec"],

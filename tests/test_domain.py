@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from oddspec import (
     parse_trace,
     serialize_trace,
     value_in_domain,
+    value_space,
 )
 from oracles import TAXONOMY_FAMILY, nested_loop_od
 
@@ -133,6 +135,17 @@ class TestEnumerateOd:
     def test_bounded_int_ascending(self):
         t = Taxonomy((Attribute("n", IntType(minimum=-1, maximum=1)),))
         assert list(enumerate_od(t)) == [(-1,), (0,), (1,)]
+
+    def test_int_wider_than_sys_maxsize_refuses_by_name(self):
+        # len() and itertools.product fail past sys.maxsize values; an int
+        # range of exactly that many is still a value space
+        def taxonomy(values):
+            wide = Attribute("n", IntType(minimum=1, maximum=values))
+            return Taxonomy((Attribute("b", BoolType()), wide))
+
+        assert len(value_space(taxonomy(sys.maxsize).attributes[1])) == sys.maxsize
+        with pytest.raises(InfiniteDomainError, match="attribute 'n' has more than"):
+            enumerate_od(taxonomy(sys.maxsize + 1))
 
     @pytest.mark.parametrize("taxonomy", TAXONOMY_FAMILY, ids=lambda t: t.version)
     def test_matches_nested_loop_oracle(self, taxonomy):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from oddspec import (
     EnumType,
     EvaluationError,
     InfiniteDomainError,
+    IntType,
     Lod,
     Not,
     Predicate,
@@ -35,6 +37,7 @@ from oddspec import (
 from oracles import (
     SPEC_FAMILY,
     assignment_of,
+    eval_kleene,
     eval_two_valued,
     label_orders_of,
     nested_loop_od,
@@ -226,6 +229,35 @@ class TestAgainstTwoValuedOracle:
                 assert got is Verdict.from_bool(expected)
 
 
+class TestAgainstKleeneOracle:
+    # kleene_and and kleene_not share the fold's rank encoding, so only a
+    # referee with its own truth tables can catch an error in that encoding
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_partial_samples_agree_with_the_truth_tables(self, taxonomy):
+        rng = random.Random(f"kleene-oracle:{taxonomy.version}")
+        orders = label_orders_of(taxonomy)
+        spaces = _value_spaces(taxonomy)
+        for _ in range(20):
+            ast = random_spec(rng, taxonomy, 5)
+            spec = check_spec(ast, taxonomy)
+            for _ in range(20):
+                dropout = rng.choice((0.0, 0.4))
+                values = tuple(
+                    UNKNOWN if rng.random() < dropout else rng.choice(space)
+                    for space in spaces
+                )
+                partial = {
+                    name: None if value is UNKNOWN else value
+                    for name, value in assignment_of(taxonomy, values).items()
+                }
+                expected = eval_kleene(ast, partial, orders)
+                lod = Lod(0.0, 0.0, 0.0, values)
+                assert eval_spec(spec, lod).value == expected
+                assert diagnose(spec, lod).verdict.value == expected
+                if UNKNOWN not in values:
+                    assert in_odd(spec, lod) is (expected == "true")
+
+
 class TestInOdd:
     def test_inside(self, motorway_taxonomy, motorway_spec):
         lod = _lod(motorway_taxonomy, road="motorway", ped=False, speed=45.0)
@@ -343,6 +375,21 @@ class TestPrunedEnumeration:
             expected = tuple(i != position for i in range(size))
             assert next(enumerate_odd(taxonomy, spec)) == expected
             assert count_odd(taxonomy, spec) == 2 ** (size - 1)
+
+    def test_count_lists_no_int_range(self):
+        # an int attribute's values stay a range: counting a spec on the
+        # other attribute holds none of the million ints in memory
+        taxonomy = Taxonomy(
+            (Attribute("a", IntType(minimum=0, maximum=10**6)), Attribute("b", BoolType()))
+        )
+        spec = check_spec(parse_spec("b == true"), taxonomy)
+        tracemalloc.start()
+        try:
+            assert count_odd(taxonomy, spec) == 1_000_001
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_checks_run_on_the_first_next(self, motorway_taxonomy, motorway_spec, finite_taxonomy):
         odd = enumerate_odd(motorway_taxonomy, motorway_spec)

@@ -146,6 +146,7 @@ class TestParse:
     def test_nesting_is_bounded(self, motorway_taxonomy):
         atom = "pedestrian_present == false"
         lod = make_lod(motorway_taxonomy, {"pedestrian_present": False})
+        unmeasured = make_lod(motorway_taxonomy, {"road_type": "motorway"})
         # 255 nots, a 256-atom conjunction and an 86-atom disjunction (each
         # 'or' operand sits three levels down) are all 256 levels deep
         for text, verdict in (
@@ -156,6 +157,7 @@ class TestParse:
             ast = parse_spec(text)
             spec = check_spec(ast, motorway_taxonomy)
             assert diagnose(spec, lod).verdict.value == verdict
+            assert diagnose(spec, unmeasured).verdict.value == "unknown"
             assert parse_spec(serialize_spec(ast)) == ast
             assert hash(ast) == hash(parse_spec(text))
             assert repr(ast).count("Atom(") == text.count("==")
