@@ -8,16 +8,16 @@ event under --fail-on-exit. Standard error carries diagnostics only.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from decimal import Decimal
-from pathlib import Path
 from typing import Iterator
 
 from .domain import enumerate_od, iter_trace, parse_lod
 from .errors import OddspecError
 from .evaluator import count_odd, diagnose, enumerate_odd
-from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
+from .monitor import EventKind, monitor_init, monitor_step, render_report, report_from_state
 from .specdsl import check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import (
     BoolType,
@@ -38,14 +38,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file, decoded as they are read."""
-    with open(path, encoding="utf-8") as file:
+    """The lines of a UTF-8 text file, or of standard input if the path is
+    ``-``, decoded as they are read."""
+    stdin = path == "-"
+    name = "<stdin>" if stdin else path
+    with open(sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin) as file:
         try:
             yield from file
         except UnicodeDecodeError as exc:
-            # the decoder failed on exc.object, which ends where reading stopped
-            byte = file.buffer.tell() - len(exc.object) + exc.start
-            raise OddspecError(f"{path}: not UTF-8 text ({exc.reason} at byte {byte})") from exc
+            try:
+                # the decoder failed on exc.object, which ends where reading stopped
+                at = f" at byte {file.buffer.tell() - len(exc.object) + exc.start}"
+            except OSError:  # a pipe has no position
+                at = ""
+            raise OddspecError(f"{name}: not UTF-8 text ({exc.reason}{at})") from exc
 
 
 def _read(path: str) -> str:
@@ -136,7 +142,9 @@ def cmd_monitor(args) -> int:
         print(f"t={render_value(sample.t)} verdict={verdict.value}")
     report = report_from_state(state, events)
     if args.report is not None:
-        Path(args.report).write_text(report_json(report), encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as file:
+            json.dump(render_report(report), file, indent=2)
+            file.write("\n")
     exited = any(event.kind is EventKind.EXIT for event in report.events)
     if args.fail_on_exit and exited:
         return 3
@@ -178,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     monitor = commands.add_parser("monitor", help="monitor a drive trace")
     monitor.add_argument("--taxonomy", required=True, metavar="PATH")
     monitor.add_argument("--spec", required=True, metavar="PATH")
-    monitor.add_argument("--trace", required=True, metavar="PATH")
+    monitor.add_argument(
+        "--trace", required=True, metavar="PATH", help="trace file, or - for standard input"
+    )
     monitor.add_argument("--report", metavar="PATH", help="write a JSON report here")
     monitor.add_argument(
         "--fail-on-exit", action="store_true",

@@ -32,14 +32,13 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import InfiniteDomainError, LodError, TraceError
 from .taxonomy import (
     _FLOAT_MAX,
+    _REJECT,
     Attribute,
     BoolType,
     EnumType,
     IntType,
-    RealType,
     Taxonomy,
     domain_cardinality,
-    value_in_domain,
 )
 
 
@@ -116,20 +115,21 @@ def make_lod(
     Raises:
         LodError: unknown attribute name, out-of-domain value, or t < 0.
     """
-    values: list[AttributeValue] = [UNKNOWN] * len(taxonomy)
+    decoder = taxonomy._decoder
+    values: list[AttributeValue] = [UNKNOWN] * len(decoder)
     for name, value in assignments.items():
-        if name not in taxonomy:
-            raise LodError(f"unknown attribute {name!r}")
+        try:
+            position, accept = decoder[name]
+        except KeyError:
+            raise LodError(f"unknown attribute {name!r}") from None
         if value is UNKNOWN or value is None:
             continue
-        attribute = taxonomy.attribute(name)
-        if not value_in_domain(attribute, value):
+        stored = accept(value)
+        if stored is _REJECT:
             raise LodError(
                 f"value {value!r} is outside the domain of attribute {name!r}"
             )
-        if isinstance(attribute.attr_type, RealType):
-            value = float(value)
-        values[taxonomy.index_of(name)] = value
+        values[position] = stored
     return Lod(t=float(t), x=float(x), y=float(y), values=tuple(values))
 
 
@@ -201,24 +201,19 @@ def _parse_record(line: str, lineno: int, taxonomy: Taxonomy) -> Lod:
         raise fail(f"unreadable JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise fail("expected a JSON object")
-    missing = _RECORD_KEYS - set(record)
-    if missing:
-        raise fail(f"missing keys {sorted(missing)}")
-    extra = set(record) - _RECORD_KEYS
-    if extra:
-        raise fail(f"unexpected keys {sorted(extra)}")
+    if record.keys() != _RECORD_KEYS:
+        missing = _RECORD_KEYS - record.keys()
+        if missing:
+            raise fail(f"missing keys {sorted(missing)}")
+        raise fail(f"unexpected keys {sorted(record.keys() - _RECORD_KEYS)}")
     for key in ("t", "x", "y"):
         raw = record[key]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not abs(raw) <= _FLOAT_MAX:
             raise fail(f"{key!r} must be a finite number, got {raw!r}")
     if not isinstance(record["values"], dict):
         raise fail("'values' must be an object")
-    assignments = {
-        name: (UNKNOWN if value is None else value)
-        for name, value in record["values"].items()
-    }
     try:
-        return make_lod(taxonomy, assignments, t=record["t"], x=record["x"], y=record["y"])
+        return make_lod(taxonomy, record["values"], t=record["t"], x=record["x"], y=record["y"])
     except LodError as exc:
         raise fail(str(exc)) from exc
 

@@ -26,6 +26,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import TaxonomyError
 
@@ -41,6 +42,14 @@ def _check_identifier(text: str, what: str) -> None:
         raise TaxonomyError(f"{what} {text!r} is not a valid identifier")
     if text in RESERVED_WORDS:
         raise TaxonomyError(f"{what} {text!r} is a reserved word")
+
+
+# What a type's ``_accept`` returns for a value outside the type.
+_REJECT = object()
+
+# A number is a finite real when abs(number) <= _FLOAT_MAX. Unlike
+# math.isfinite, the comparison does not raise on an int past the float range.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -59,10 +68,17 @@ class EnumType:
         if len(set(self.labels)) != len(self.labels):
             raise TaxonomyError("enum labels must be pairwise distinct")
 
+    def _accept(self, value):
+        """A ``str`` that is one of the labels, unchanged."""
+        return value if isinstance(value, str) and value in self.labels else _REJECT
+
 
 @dataclass(frozen=True)
 class BoolType:
     """Two-valued attribute."""
+
+    def _accept(self, value):
+        return value if value is True or value is False else _REJECT
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,20 @@ class RealType:
         _check_identifier(self.unit, "unit")
         _check_bounds(self.minimum, self.maximum)
 
+    def _accept(self, value):
+        """A finite number (not a ``bool``) within the bounds, as a ``float``."""
+        if isinstance(value, (float, int)) and not isinstance(value, bool):
+            low, high = self.minimum, self.maximum
+            # `not value < low` so that a nan bound, which only direct
+            # construction can give, rejects nothing
+            if (
+                -_FLOAT_MAX <= value <= _FLOAT_MAX
+                and (low is None or not value < low)
+                and (high is None or not value > high)
+            ):
+                return float(value)
+        return _REJECT
+
 
 @dataclass(frozen=True)
 class IntType:
@@ -90,6 +120,14 @@ class IntType:
         if self.unit is not None:
             _check_identifier(self.unit, "unit")
         _check_bounds(self.minimum, self.maximum)
+
+    def _accept(self, value):
+        """An ``int`` (not a ``bool``) within the bounds, unchanged."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            low, high = self.minimum, self.maximum
+            if (low is None or not value < low) and (high is None or not value > high):
+                return value
+        return _REJECT
 
 
 def _check_bounds(minimum, maximum) -> None:
@@ -143,10 +181,20 @@ class Taxonomy:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
+    @cached_property
+    def _decoder(self) -> dict:
+        """``name -> (position, accept)`` for every attribute, built on the
+        first decode; ``accept`` is the ``_accept`` of its data type."""
+        return {
+            attribute.name: (position, attribute.attr_type._accept)
+            for position, attribute in enumerate(self.attributes)
+        }
 
-# A number is a finite real when abs(number) <= _FLOAT_MAX. Unlike
-# math.isfinite, the comparison does not raise on an int past the float range.
-_FLOAT_MAX = sys.float_info.max
+    def __getstate__(self) -> dict:
+        # the decoder is derived state, rebuilt on the first decode
+        state = dict(self.__dict__)
+        state.pop("_decoder", None)
+        return state
 
 
 def value_in_domain(attr: Attribute, value) -> bool:
@@ -157,23 +205,7 @@ def value_in_domain(attr: Attribute, value) -> bool:
     ``bool`` is never accepted for numeric attributes even though Python
     treats it as an int.
     """
-    kind = attr.attr_type
-    if isinstance(kind, EnumType):
-        return isinstance(value, str) and value in kind.labels
-    if isinstance(kind, BoolType):
-        return isinstance(value, bool)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if isinstance(kind, RealType):
-        if not abs(value) <= _FLOAT_MAX:
-            return False
-    elif not isinstance(value, int):  # IntType
-        return False
-    if kind.minimum is not None and value < kind.minimum:
-        return False
-    if kind.maximum is not None and value > kind.maximum:
-        return False
-    return True
+    return attr.attr_type._accept(value) is not _REJECT
 
 
 def _type_cardinality(kind: AttributeType) -> int | float:

@@ -9,6 +9,8 @@ monitor's fold. Only the AST/taxonomy data classes are shared.
 from __future__ import annotations
 
 import random
+import sys
+from fractions import Fraction
 
 from oddspec import (
     And,
@@ -19,6 +21,7 @@ from oddspec import (
     IntType,
     Not,
     Predicate,
+    RealType,
     Taxonomy,
 )
 
@@ -96,6 +99,47 @@ def label_orders_of(taxonomy: Taxonomy) -> dict:
         for a in taxonomy.attributes
         if isinstance(a.attr_type, EnumType) and a.attr_type.ordered
     }
+
+
+# ---------------------------------------------------------------------------
+# Domain membership, by the type rules as the README states them
+# ---------------------------------------------------------------------------
+
+
+def in_domain(attribute: Attribute, value) -> bool:
+    """Whether ``value`` is in the attribute's data type.
+
+    An enum holds its declared labels (any ``str`` equal to one), a bool
+    holds ``True`` and ``False``. A real holds every int or float, never a
+    bool, that is a finite float or an int no larger in magnitude than the
+    largest float, within the inclusive bounds. An int holds every int,
+    never a bool or a float, within the bounds. Reals are compared as exact
+    fractions, so nothing here rounds or overflows.
+    """
+    kind = attribute.attr_type
+    if isinstance(kind, EnumType):
+        return isinstance(value, str) and any(value == label for label in kind.labels)
+    if isinstance(kind, BoolType):
+        return value is True or value is False
+    if type(value) is bool:
+        return False
+    if isinstance(kind, RealType):
+        if not isinstance(value, (int, float)):
+            return False
+        try:
+            exact = Fraction(value)
+        except (ValueError, OverflowError):  # nan, +-inf
+            return False
+        if abs(exact) > Fraction(sys.float_info.max):
+            return False
+    else:
+        assert isinstance(kind, IntType)
+        if not isinstance(value, int):
+            return False
+        exact = value
+    if kind.minimum is not None and exact < Fraction(kind.minimum):
+        return False
+    return kind.maximum is None or exact <= Fraction(kind.maximum)
 
 
 # ---------------------------------------------------------------------------

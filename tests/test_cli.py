@@ -183,6 +183,26 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert not report.exists()
 
+    def test_monitor_reads_the_trace_from_stdin(self, tmp_path):
+        argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,
+                "--spec", SPEC, "--trace", "-"]
+        report = tmp_path / "report.json"
+        piped = subprocess.run(
+            [*argv, "--report", str(report)], input=Path(TRACE).read_bytes(), capture_output=True
+        )
+        assert piped.returncode == 0
+        assert piped.stdout == run_cli(
+            "monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", TRACE
+        ).stdout.encode()
+        assert piped.stderr == b""
+        assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
+        # a pipe has no byte position, so the error names none
+        record = b'{"t": 0, "x": 0, "y": 0, "values": {"road_type": "ru\xffral"}}\n'
+        bad = subprocess.run(argv, input=record, capture_output=True)
+        assert bad.returncode == 2
+        assert bad.stdout == b""
+        assert bad.stderr == b"error: <stdin>: not UTF-8 text (invalid start byte)\n"
+
 
 class TestInProcessEntryPoint:
     # the same paths drive main() directly, keeping coverage fast and

@@ -32,7 +32,7 @@ from oddspec import (
     value_in_domain,
     value_space,
 )
-from oracles import TAXONOMY_FAMILY, nested_loop_od
+from oracles import SPEC_FAMILY, TAXONOMY_FAMILY, in_domain, nested_loop_od
 
 SIX_TUPLE_OD = {
     ("motorway", True),
@@ -417,3 +417,141 @@ def test_record_parser_yields_sound_samples_or_a_trace_error(lines):
     except TraceError:
         pass
     assert all(earlier < later for earlier, later in zip(times, times[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Domain membership against the independent type rules
+# ---------------------------------------------------------------------------
+
+# SPEC_FAMILY has no real and no half-bounded attribute; these fill the gap.
+_NUMERIC_TAXONOMY = Taxonomy(
+    (
+        Attribute("speed", RealType("kmh", minimum=0.0, maximum=130.0)),
+        Attribute("grade", RealType("pct")),
+        Attribute("friction", RealType("ratio", minimum=-1.5)),
+        Attribute("ceiling", RealType("m", maximum=2.5)),
+        Attribute("lanes", IntType(minimum=1, maximum=4)),
+        Attribute("count", IntType()),
+        Attribute("floor", IntType(unit="m", maximum=-2)),
+    )
+)
+_MEMBERSHIP_CASES = [
+    (taxonomy, attribute)
+    for taxonomy in [*SPEC_FAMILY, _NUMERIC_TAXONOMY]
+    for attribute in taxonomy.attributes
+]
+_ALL_LABELS = sorted(
+    {label for taxonomy, attribute in _MEMBERSHIP_CASES
+     if isinstance(attribute.attr_type, EnumType) for label in attribute.attr_type.labels}
+)
+
+
+class _Label(str):
+    """A str subclass, as a JSON object hook or an enum library may pass."""
+
+
+class _UnhashableLabel(str):
+    """A str subclass that cannot be a set member or a dict key."""
+
+    __hash__ = None
+
+
+_FLOAT_MAX = sys.float_info.max
+_ADVERSARIAL = [
+    True, False, 0, 1, 2, 2.0, 47, -0.0, 0.0, math.nan, math.inf, -math.inf,
+    10**400, -(10**400), int(_FLOAT_MAX), int(_FLOAT_MAX) + 1, _FLOAT_MAX, -_FLOAT_MAX,
+    2**53 + 1, None, UNKNOWN, [], ["motorway"], (), "", "Motorway", "true",
+    *_ALL_LABELS, *(_Label(label) for label in _ALL_LABELS),
+    *(_UnhashableLabel(label) for label in _ALL_LABELS),
+]
+
+
+def _near_bounds(attribute) -> list:
+    """Each declared bound, and the nearest values either side of it."""
+    kind = attribute.attr_type
+    values = []
+    for bound in (getattr(kind, "minimum", None), getattr(kind, "maximum", None)):
+        if bound is None:
+            continue
+        if isinstance(kind, IntType):
+            values += [bound, bound - 1, bound + 1, float(bound)]
+        else:
+            values += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+            if bound == int(bound):
+                values += [int(bound), int(bound) - 1, int(bound) + 1]
+    return values
+
+
+def _check_membership(taxonomy, attribute, value):
+    name = attribute.name
+    expected = in_domain(attribute, value)
+    assert value_in_domain(attribute, value) is expected
+    position = taxonomy.index_of(name)
+    if value is None or value is UNKNOWN:
+        assert make_lod(taxonomy, {name: value}).values[position] is UNKNOWN
+        return
+    if not expected:
+        with pytest.raises(LodError) as raised:
+            make_lod(taxonomy, {name: value})
+        assert str(raised.value) == f"value {value!r} is outside the domain of attribute {name!r}"
+        return
+    stored = make_lod(taxonomy, {name: value}).values[position]
+    kind = attribute.attr_type
+    if isinstance(kind, RealType):
+        assert type(stored) is float
+        assert stored == float(value)
+        assert math.copysign(1.0, stored) == math.copysign(1.0, value)
+    elif isinstance(kind, IntType):
+        assert type(stored) is int and stored == value
+    else:
+        assert stored is value
+
+
+class TestMembershipAgainstOracle:
+    @pytest.mark.parametrize(
+        "taxonomy, attribute", _MEMBERSHIP_CASES,
+        ids=[f"{t.version}-{a.name}" for t, a in _MEMBERSHIP_CASES],
+    )
+    def test_adversarial_values(self, taxonomy, attribute):
+        for value in _ADVERSARIAL + _near_bounds(attribute):
+            _check_membership(taxonomy, attribute, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.sampled_from(_MEMBERSHIP_CASES),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(min_value=-8, max_value=140),
+            st.integers(),
+            st.integers(min_value=-(10**400), max_value=10**400),
+            st.floats(min_value=-8, max_value=140),
+            st.floats(),
+            st.sampled_from(_ALL_LABELS),
+            st.text(max_size=8),
+            st.lists(st.integers(), max_size=2),
+            st.sampled_from(_ADVERSARIAL),
+        ),
+    )
+    def test_random_values(self, case, value):
+        _check_membership(*case, value)
+
+    def test_record_values_decode_as_mapped_values(self):
+        # a trace record goes through make_lod; null is Unknown there too
+        taxonomy = _NUMERIC_TAXONOMY
+        for attribute in taxonomy.attributes:
+            for value in [None, 47, 2.0, -0.0, 10**400, True, "47", [1], *_near_bounds(attribute)]:
+                record = json.dumps({"t": 0, "x": 0, "y": 0, "values": {attribute.name: value}})
+                try:
+                    expected = make_lod(taxonomy, {attribute.name: value})
+                except LodError as exc:
+                    with pytest.raises(TraceError) as raised:
+                        parse_lod(record, taxonomy)
+                    assert str(raised.value) == f"line 1: {exc}"
+                else:
+                    assert parse_lod(record, taxonomy) == expected
+
+    def test_unknown_attribute_message(self, finite_taxonomy):
+        with pytest.raises(LodError) as raised:
+            make_lod(finite_taxonomy, {"road_type": "rural", "weather": None})
+        assert str(raised.value) == "unknown attribute 'weather'"

@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,11 +17,14 @@ from oddspec import (
     Taxonomy,
     TaxonomyError,
     domain_cardinality,
+    make_lod,
     parse_taxonomy,
     serialize_taxonomy,
     value_in_domain,
 )
 from oracles import TAXONOMY_FAMILY
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_motorway_document(motorway_taxonomy):
@@ -174,6 +180,19 @@ class TestValueInDomain:
             first = value_in_domain(attr, value)
             assert isinstance(first, bool)
             assert value_in_domain(attr, value) == first
+
+
+def test_a_decoded_taxonomy_pickles_and_copies():
+    taxonomy = parse_taxonomy((DATA / "taxonomy_motorway.json").read_text())
+    values = {"road_type": "rural", "pedestrian_present": False, "operational_speed": 47}
+    pickled = pickle.dumps(taxonomy)
+    sample = make_lod(taxonomy, values)
+    # the decoding table built by make_lod is not part of the pickled state
+    assert pickle.dumps(taxonomy) == pickled
+    for duplicate in (pickle.loads(pickle.dumps(taxonomy)), copy.deepcopy(taxonomy)):
+        assert duplicate == taxonomy
+        assert hash(duplicate) == hash(taxonomy)
+        assert make_lod(duplicate, values) == sample
 
 
 class TestCardinality:
