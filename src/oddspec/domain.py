@@ -20,7 +20,6 @@ Keys missing from ``values``, or explicitly null, denote Unknown.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import sys
@@ -115,7 +114,7 @@ def make_lod(
     Raises:
         LodError: unknown attribute name, out-of-domain value, or t < 0.
     """
-    decoder = taxonomy._decoder
+    decoder = taxonomy._index
     values: list[AttributeValue] = [UNKNOWN] * len(decoder)
     for name, value in assignments.items():
         try:
@@ -139,8 +138,8 @@ def value_space(attribute: Attribute) -> Sequence[AttributeValue]:
     Enums enumerate in label declaration order, booleans as (true, false),
     bounded ints ascending, as a ``range`` that holds no value in memory.
     A real or unbounded attribute, or an int one with more than
-    ``sys.maxsize`` values (too many for ``len`` and ``itertools.product``),
-    raises ``InfiniteDomainError``.
+    ``sys.maxsize`` values (too many for ``len``, which ``count_odd``
+    takes of every space), raises ``InfiniteDomainError``.
     """
     kind = attribute.attr_type
     if isinstance(kind, EnumType):
@@ -183,7 +182,32 @@ def enumerate_od(taxonomy: Taxonomy) -> Iterator[tuple[AttributeValue, ...]]:
     Raises:
         InfiniteDomainError: if any attribute is real-valued or unbounded.
     """
-    return iter(itertools.product(*value_spaces(taxonomy)))
+    return _product(value_spaces(taxonomy))
+
+
+def _product(spaces: Sequence[Sequence[AttributeValue]]) -> Iterator[tuple[AttributeValue, ...]]:
+    """Every tuple of the spaces' product, in ``enumerate_od``'s order. An
+    odometer over one iterator per position, so that a ``range`` streams
+    instead of being copied; a loop, never a recursion."""
+    if not spaces:
+        yield ()
+        return
+    last = len(spaces) - 1
+    values: list[AttributeValue] = [UNKNOWN] * last
+    stack = [iter(spaces[0])]
+    while stack:
+        position = len(stack) - 1
+        if position == last:
+            prefix = tuple(values)
+            for value in stack.pop():
+                yield prefix + (value,)
+            continue
+        for value in stack[-1]:
+            values[position] = value
+            stack.append(iter(spaces[position + 1]))
+            break
+        else:
+            stack.pop()
 
 
 _RECORD_KEYS = {"t", "x", "y", "values"}

@@ -18,12 +18,11 @@ operators.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .domain import UNKNOWN, AttributeValue, Lod, value_spaces
+from .domain import UNKNOWN, AttributeValue, Lod, _product, value_spaces
 from .errors import (
     EvaluationError,
     PredicateNotApplicableError,
@@ -31,7 +30,7 @@ from .errors import (
     UnknownValueError,
 )
 from .specdsl import Atom, Plan, Probe, WellFormedSpec, _check_atom
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _check_binding
 
 
 class Verdict(enum.Enum):
@@ -152,15 +151,6 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
     return _fold(spec.plan, ranks) == 2
 
 
-def _spaces_of(taxonomy: Taxonomy, spec: WellFormedSpec) -> list[Sequence[AttributeValue]]:
-    if spec.taxonomy != taxonomy:
-        raise EvaluationError(
-            f"spec was checked against a different taxonomy (version "
-            f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
-        )
-    return value_spaces(taxonomy)
-
-
 def _admitting_prefixes(
     spec: WellFormedSpec,
     spaces: list[Sequence[AttributeValue]],
@@ -181,10 +171,8 @@ def _admitting_prefixes(
     """
     probes, plan = spec.probes, spec.plan
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
-    rank = _fold(plan, _verdicts(probes, values))
-    if rank == 2:
-        yield values, 0
-    stack = [iter(spaces[order[0]])] if rank == 1 else []
+    # a checked spec has an atom, so spaces is not empty and the root is Unknown
+    stack = [iter(spaces[order[0]])]
     while stack:
         depth = len(stack)
         position = order[depth - 1]
@@ -220,10 +208,11 @@ def enumerate_odd(
         InfiniteDomainError: if any attribute is real-valued, unbounded or
             too wide to enumerate (see ``value_space``).
     """
-    spaces = _spaces_of(taxonomy, spec)
+    _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
+    spaces = value_spaces(taxonomy)
     for values, depth in _admitting_prefixes(spec, spaces, range(len(spaces))):
         prefix = tuple(values[:depth])
-        for rest in itertools.product(*spaces[depth:]):
+        for rest in _product(spaces[depth:]):
             yield prefix + rest
 
 
@@ -236,7 +225,8 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     Raises:
         EvaluationError, InfiniteDomainError: as ``enumerate_odd``.
     """
-    spaces = _spaces_of(taxonomy, spec)
+    _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
+    spaces = value_spaces(taxonomy)
     mentioned = sorted({index for index, *_ in spec.probes})
     order = mentioned + sorted(set(range(len(spaces))) - set(mentioned))
     sizes = [len(spaces[position]) for position in order]

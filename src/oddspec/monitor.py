@@ -21,7 +21,7 @@ from .domain import Lod, Trace
 from .errors import MonitorError
 from .evaluator import Diagnosis, Verdict, diagnose
 from .specdsl import Atom, WellFormedSpec, serialize_spec
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, _check_binding
 
 
 class EventKind(enum.Enum):
@@ -94,11 +94,7 @@ def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
         MonitorError: the spec was checked against a taxonomy that is not
             equal to ``taxonomy`` (attributes, order, types and version).
     """
-    if spec.taxonomy != taxonomy:
-        raise MonitorError(
-            f"spec was checked against a different taxonomy (version "
-            f"{spec.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
-        )
+    _check_binding(spec.taxonomy, taxonomy, "spec was checked against", MonitorError)
     return MonitorState(spec=spec, atom_violations=dict.fromkeys(spec.atoms, 0))
 
 
@@ -149,11 +145,7 @@ def run_monitor(
         MonitorError: empty trace, or a spec or trace bound to a taxonomy
             that is not equal to ``taxonomy``.
     """
-    if trace.taxonomy != taxonomy:
-        raise MonitorError(
-            f"trace was recorded against a different taxonomy (version "
-            f"{trace.taxonomy.version!r}) than this one (version {taxonomy.version!r})"
-        )
+    _check_binding(trace.taxonomy, taxonomy, "trace was recorded against", MonitorError)
     state = monitor_init(spec, taxonomy)
     events: list[MonitorEvent] = []
     for sample in trace.samples:

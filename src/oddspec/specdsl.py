@@ -100,15 +100,20 @@ class WellFormedSpec:
     None)``. ``plan`` is the tree over atom positions: an int is an atom, a
     1-tuple negates its element and a 2-tuple conjoins its two; ``not not``
     chains are folded away, so no 1-tuple holds another.
+    ``mentioned_attributes`` is derived from ``atoms``.
     """
 
     ast: SpecAst
-    mentioned_attributes: frozenset[str]
     taxonomy: Taxonomy
     atoms: tuple[Atom, ...] = field(compare=False, repr=False)
     blame: tuple[bool, ...] = field(compare=False, repr=False)
     probes: tuple[Probe, ...] = field(compare=False, repr=False)
     plan: Plan = field(compare=False, repr=False)
+
+    @property
+    def mentioned_attributes(self) -> frozenset[str]:
+        """Names of the attributes the spec's atoms compare."""
+        return frozenset(atom.attribute_name for atom in self.atoms)
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +438,6 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         probes.append(_check_atom(atom, taxonomy))
     return WellFormedSpec(
         ast=ast,
-        mentioned_attributes=frozenset(a.attribute_name for a in found),
         taxonomy=taxonomy,
         atoms=tuple(found),
         blame=tuple(blame),

@@ -26,7 +26,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import TaxonomyError
 
@@ -154,6 +153,7 @@ class Taxonomy:
 
     attributes: tuple[Attribute, ...]
     version: str = "1"
+    # name -> (position, the data type's _accept), for name lookup and decoding
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,7 +162,7 @@ class Taxonomy:
         for position, attribute in enumerate(self.attributes):
             if attribute.name in index:
                 raise TaxonomyError(f"duplicate attribute name {attribute.name!r}")
-            index[attribute.name] = position
+            index[attribute.name] = (position, attribute.attr_type._accept)
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
@@ -173,28 +173,23 @@ class Taxonomy:
 
     def index_of(self, name: str) -> int:
         """Tuple position of the named attribute; raises KeyError if absent."""
-        return self._index[name]
+        return self._index[name][0]
 
     def attribute(self, name: str) -> Attribute:
-        return self.attributes[self._index[name]]
+        return self.attributes[self._index[name][0]]
 
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    @cached_property
-    def _decoder(self) -> dict:
-        """``name -> (position, accept)`` for every attribute, built on the
-        first decode; ``accept`` is the ``_accept`` of its data type."""
-        return {
-            attribute.name: (position, attribute.attr_type._accept)
-            for position, attribute in enumerate(self.attributes)
-        }
 
-    def __getstate__(self) -> dict:
-        # the decoder is derived state, rebuilt on the first decode
-        state = dict(self.__dict__)
-        state.pop("_decoder", None)
-        return state
+def _check_binding(bound: Taxonomy, taxonomy: Taxonomy, subject: str, error: type) -> None:
+    """Raise ``error`` unless ``bound``, the taxonomy a spec or trace was
+    built on, equals ``taxonomy``; ``subject`` says how it was built."""
+    if bound != taxonomy:
+        raise error(
+            f"{subject} a different taxonomy (version {bound.version!r}) "
+            f"than this one (version {taxonomy.version!r})"
+        )
 
 
 def value_in_domain(attr: Attribute, value) -> bool:
@@ -269,19 +264,14 @@ def _parse_attribute(entry, position: int) -> Attribute:
         attr_type: AttributeType = EnumType(tuple(labels), ordered=ordered)
     elif tag == "bool":
         attr_type = BoolType()
-    elif tag == "real":
-        if "unit" not in entry:
-            raise TaxonomyError(f"{where}: real attribute requires a unit")
-        attr_type = RealType(
-            unit=entry["unit"],
-            minimum=_parse_bound(entry.get("min"), where, integral=False),
-            maximum=_parse_bound(entry.get("max"), where, integral=False),
-        )
     else:
-        attr_type = IntType(
+        real = tag == "real"
+        if real and "unit" not in entry:
+            raise TaxonomyError(f"{where}: real attribute requires a unit")
+        attr_type = (RealType if real else IntType)(
             unit=entry.get("unit"),
-            minimum=_parse_bound(entry.get("min"), where, integral=True),
-            maximum=_parse_bound(entry.get("max"), where, integral=True),
+            minimum=_parse_bound(entry.get("min"), where, integral=not real),
+            maximum=_parse_bound(entry.get("max"), where, integral=not real),
         )
     return Attribute(name=entry["name"], attr_type=attr_type, description=description)
 
@@ -344,15 +334,8 @@ def serialize_taxonomy(taxonomy: Taxonomy) -> str:
                 entry["ordered"] = True
         elif isinstance(kind, BoolType):
             entry["type"] = "bool"
-        elif isinstance(kind, RealType):
-            entry["type"] = "real"
-            entry["unit"] = kind.unit
-            if kind.minimum is not None:
-                entry["min"] = kind.minimum
-            if kind.maximum is not None:
-                entry["max"] = kind.maximum
         else:
-            entry["type"] = "int"
+            entry["type"] = "real" if isinstance(kind, RealType) else "int"
             if kind.unit is not None:
                 entry["unit"] = kind.unit
             if kind.minimum is not None:

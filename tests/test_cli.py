@@ -330,7 +330,7 @@ class TestMalformedInputs:
         assert f"cardinality: 1{'0' * 6000}\n" in capsys.readouterr().out
 
     def test_int_wider_than_sys_maxsize_is_refused(self, tmp_path, capsys):
-        # 10**20 + 1 values: more than len() or itertools.product can take
+        # 10**20 + 1 values: more than len() can take
         taxonomy = tmp_path / "wide.json"
         taxonomy.write_text(
             '{"version": "1", "attributes": [{"name": "a", "type": "int", "min": 0, '

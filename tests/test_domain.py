@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,16 @@ from oddspec import (
     Taxonomy,
     Trace,
     TraceError,
+    check_spec,
     cod_of,
     domain_cardinality,
     enumerate_od,
+    enumerate_odd,
     is_unknown,
     iter_trace,
     make_lod,
     parse_lod,
+    parse_spec,
     parse_trace,
     serialize_trace,
     value_in_domain,
@@ -137,8 +141,8 @@ class TestEnumerateOd:
         assert list(enumerate_od(t)) == [(-1,), (0,), (1,)]
 
     def test_int_wider_than_sys_maxsize_refuses_by_name(self):
-        # len() and itertools.product fail past sys.maxsize values; an int
-        # range of exactly that many is still a value space
+        # len() fails past sys.maxsize values; an int range of exactly that
+        # many is still a value space
         def taxonomy(values):
             wide = Attribute("n", IntType(minimum=1, maximum=values))
             return Taxonomy((Attribute("b", BoolType()), wide))
@@ -146,6 +150,34 @@ class TestEnumerateOd:
         assert len(value_space(taxonomy(sys.maxsize).attributes[1])) == sys.maxsize
         with pytest.raises(InfiniteDomainError, match="attribute 'n' has more than"):
             enumerate_od(taxonomy(sys.maxsize + 1))
+
+    @pytest.mark.parametrize(
+        "attr_type", [RealType("kmh", 0.0, 1.0), IntType(minimum=0), IntType(maximum=0)]
+    )
+    def test_value_space_of_an_infinite_attribute_refuses_by_name(self, attr_type):
+        with pytest.raises(InfiniteDomainError, match="attribute 'n' has an infinite data type"):
+            value_space(Attribute("n", attr_type))
+
+    def test_a_wide_int_streams(self):
+        # each value space is read as it goes, never copied: 10**12 + 1 ints
+        # would not fit in memory
+        wide = Attribute("a", IntType(minimum=0, maximum=10**12))
+        taxonomy = Taxonomy((wide, Attribute("b", BoolType())))
+        tracemalloc.start()
+        try:
+            tuples = enumerate_od(taxonomy)
+            first = [next(tuples) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [(0, True), (0, False), (1, True)]
+        assert peak < 1_000_000
+
+    def test_a_wide_int_streams_after_a_true_prefix(self):
+        wide = Attribute("a", IntType(minimum=0, maximum=10**12))
+        taxonomy = Taxonomy((Attribute("b", BoolType()), wide))
+        admitted = enumerate_odd(taxonomy, check_spec(parse_spec("b == true"), taxonomy))
+        assert [next(admitted) for _ in range(2)] == [(True, 0), (True, 1)]
 
     @pytest.mark.parametrize("taxonomy", TAXONOMY_FAMILY, ids=lambda t: t.version)
     def test_matches_nested_loop_oracle(self, taxonomy):

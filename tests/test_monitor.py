@@ -236,13 +236,23 @@ class TestProtocol:
         ab = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())), version="1")
         ba = Taxonomy((Attribute("b", BoolType()), Attribute("a", BoolType())), version="1")
         spec = check_spec(parse_spec("a == true"), ab)
-        with pytest.raises(MonitorError, match="version"):
+        spec_message = (
+            "spec was checked against a different taxonomy (version '1') "
+            "than this one (version '1')"
+        )
+        with pytest.raises(MonitorError, match="version") as raised:
             monitor_init(spec, ba)
-        with pytest.raises(EvaluationError, match="version"):
+        assert str(raised.value) == spec_message
+        with pytest.raises(EvaluationError, match="version") as raised:
             list(enumerate_odd(ba, spec))
+        assert str(raised.value) == spec_message
         trace = parse_trace('{"t": 0, "x": 0, "y": 0, "values": {"a": false, "b": true}}', ba)
-        with pytest.raises(MonitorError, match="version"):
+        with pytest.raises(MonitorError, match="version") as raised:
             run_monitor(spec, ab, trace)
+        assert str(raised.value) == (
+            "trace was recorded against a different taxonomy (version '1') "
+            "than this one (version '1')"
+        )
 
     def test_manual_fold_equals_run_monitor(self):
         letters = "TUFTTFU"

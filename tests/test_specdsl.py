@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -188,6 +189,20 @@ class TestCheck:
             "operational_speed",
         }
         assert motorway_spec.taxonomy is motorway_taxonomy
+
+    def test_equality_and_hash_follow_the_ast_and_the_taxonomy(self, motorway_taxonomy):
+        text = "road_type == motorway and not pedestrian_present == true"
+        first, second = (check_spec(parse_spec(text), motorway_taxonomy) for _ in range(2))
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != check_spec(parse_spec("road_type == motorway"), motorway_taxonomy)
+        renamed = Taxonomy(motorway_taxonomy.attributes, version="2")
+        assert first != check_spec(parse_spec(text), renamed)
+        # derived from the atoms, not stored next to them
+        assert "mentioned_attributes" not in {f.name for f in dataclasses.fields(first)}
+        assert first.mentioned_attributes == {"road_type", "pedestrian_present"}
+        with pytest.raises(AttributeError):
+            first.mentioned_attributes = frozenset()
 
     def test_ordering_on_unordered_enum_rejected(self, motorway_taxonomy):
         with pytest.raises(PredicateNotApplicableError):
