@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from typing import Iterator
@@ -18,7 +19,7 @@ from .domain import enumerate_od, iter_trace, parse_lod
 from .errors import OddspecError
 from .evaluator import count_odd, diagnose, enumerate_odd
 from .monitor import EventKind, monitor_init, monitor_step, render_report, report_from_state
-from .specdsl import check_spec, parse_spec, render_value, serialize_spec
+from .specdsl import WellFormedSpec, check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import (
     BoolType,
     EnumType,
@@ -58,10 +59,6 @@ def _read(path: str) -> str:
     return "".join(_lines(path))
 
 
-def _load_taxonomy(path: str) -> Taxonomy:
-    return parse_taxonomy(_read(path))
-
-
 def _type_summary(attr_type) -> str:
     if isinstance(attr_type, EnumType):
         labels = ", ".join(attr_type.labels)
@@ -80,11 +77,8 @@ def _type_summary(attr_type) -> str:
     return " ".join(parts)
 
 
-def cmd_validate(args) -> int:
-    taxonomy = _load_taxonomy(args.taxonomy)
-    odd_size = None
-    if args.spec is not None:
-        odd_size = count_odd(taxonomy, check_spec(parse_spec(_read(args.spec)), taxonomy))
+def cmd_validate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
+    odd_size = None if spec is None else count_odd(taxonomy, spec)
     print(f"version: {taxonomy.version}")
     print(f"attributes: {len(taxonomy)}")
     for attribute in taxonomy.attributes:
@@ -97,17 +91,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    taxonomy = _load_taxonomy(args.taxonomy)
-    spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
+def cmd_check(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     print(serialize_spec(spec.ast))
     print(f"mentioned attributes: {', '.join(sorted(spec.mentioned_attributes))}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    taxonomy = _load_taxonomy(args.taxonomy)
-    spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
+def cmd_eval(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     record = args.lod if args.lod.lstrip().startswith("{") else _read(args.lod)
     lod = parse_lod(record, taxonomy)
     report = diagnose(spec, lod)
@@ -119,21 +109,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    taxonomy = _load_taxonomy(args.taxonomy)
-    if args.spec is None:
-        tuples = enumerate_od(taxonomy)
-    else:
-        spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
-        tuples = enumerate_odd(taxonomy, spec)
-    for values in tuples:
-        print(",".join(render_value(v) for v in values))
+def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
+    tuples = enumerate_od(taxonomy) if spec is None else enumerate_odd(taxonomy, spec)
+    try:
+        for values in tuples:
+            print(",".join(render_value(v) for v in values))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader of a listing may take any prefix; with fd 1 on devnull the
+        # interpreter's final flush of what is left cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
-def cmd_monitor(args) -> int:
-    taxonomy = _load_taxonomy(args.taxonomy)
-    spec = check_spec(parse_spec(_read(args.spec)), taxonomy)
+def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     state = monitor_init(spec, taxonomy)
     events = []
     for sample in iter_trace(_lines(args.trace), taxonomy):
@@ -154,21 +143,20 @@ def cmd_monitor(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="oddspec", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--taxonomy", required=True, metavar="PATH")
 
-    validate = commands.add_parser("validate", help="validate a taxonomy file")
-    validate.add_argument("--taxonomy", required=True, metavar="PATH")
+    validate = commands.add_parser("validate", parents=[common], help="validate a taxonomy file")
     validate.add_argument(
         "--spec", metavar="PATH", help="also count the tuples of the domain this spec admits"
     )
     validate.set_defaults(func=cmd_validate)
 
-    check = commands.add_parser("check", help="check a spec against a taxonomy")
-    check.add_argument("--taxonomy", required=True, metavar="PATH")
+    check = commands.add_parser("check", parents=[common], help="check a spec against a taxonomy")
     check.add_argument("--spec", required=True, metavar="PATH")
     check.set_defaults(func=cmd_check)
 
-    evaluate = commands.add_parser("eval", help="evaluate a spec on one sample")
-    evaluate.add_argument("--taxonomy", required=True, metavar="PATH")
+    evaluate = commands.add_parser("eval", parents=[common], help="evaluate a spec on one sample")
     evaluate.add_argument("--spec", required=True, metavar="PATH")
     evaluate.add_argument(
         "--lod", required=True, metavar="PATH_OR_JSON",
@@ -177,14 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=cmd_eval)
 
     enumerate_ = commands.add_parser(
-        "enumerate", help="list all domain tuples, optionally filtered by a spec"
+        "enumerate", parents=[common], help="list all domain tuples, optionally filtered by a spec"
     )
-    enumerate_.add_argument("--taxonomy", required=True, metavar="PATH")
     enumerate_.add_argument("--spec", metavar="PATH")
     enumerate_.set_defaults(func=cmd_enumerate)
 
-    monitor = commands.add_parser("monitor", help="monitor a drive trace")
-    monitor.add_argument("--taxonomy", required=True, metavar="PATH")
+    monitor = commands.add_parser("monitor", parents=[common], help="monitor a drive trace")
     monitor.add_argument("--spec", required=True, metavar="PATH")
     monitor.add_argument(
         "--trace", required=True, metavar="PATH", help="trace file, or - for standard input"
@@ -205,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        # inputs load in one order for every command: taxonomy, spec, then its own
+        taxonomy = parse_taxonomy(_read(args.taxonomy))
+        spec = None if args.spec is None else check_spec(parse_spec(_read(args.spec)), taxonomy)
+        return args.func(args, taxonomy, spec)
     except OddspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -35,8 +34,8 @@ from .taxonomy import (
     Attribute,
     BoolType,
     EnumType,
-    IntType,
     Taxonomy,
+    _type_cardinality,
     domain_cardinality,
 )
 
@@ -75,8 +74,13 @@ class Lod:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if not self.t >= 0:
-            raise LodError(f"time must be a non-negative number, got {self.t!r}")
+        if not 0 <= self.t <= _FLOAT_MAX:
+            adjective = "finite" if self.t >= 0 else "non-negative"
+            raise LodError(f"time must be a {adjective} number, got {self.t!r}")
+        if not abs(self.x) <= _FLOAT_MAX:
+            raise LodError(f"'x' must be a finite number, got {self.x!r}")
+        if not abs(self.y) <= _FLOAT_MAX:
+            raise LodError(f"'y' must be a finite number, got {self.y!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,8 @@ def make_lod(
     The result does not depend on the map's iteration order.
 
     Raises:
-        LodError: unknown attribute name, out-of-domain value, or t < 0.
+        LodError: unknown attribute name, out-of-domain value, t < 0, or a
+            non-finite t, x or y.
     """
     decoder = taxonomy._index
     values: list[AttributeValue] = [UNKNOWN] * len(decoder)
@@ -137,33 +142,26 @@ def value_space(attribute: Attribute) -> Sequence[AttributeValue]:
 
     Enums enumerate in label declaration order, booleans as (true, false),
     bounded ints ascending, as a ``range`` that holds no value in memory.
-    A real or unbounded attribute, or an int one with more than
-    ``sys.maxsize`` values (too many for ``len``, which ``count_odd``
-    takes of every space), raises ``InfiniteDomainError``.
+    A real or unbounded attribute raises ``InfiniteDomainError``.
     """
     kind = attribute.attr_type
+    if _type_cardinality(kind) == math.inf:
+        raise InfiniteDomainError(
+            f"attribute {attribute.name!r} has an infinite data type; "
+            f"an extensional enumeration does not exist"
+        )
     if isinstance(kind, EnumType):
         return kind.labels
     if isinstance(kind, BoolType):
         return (True, False)
-    if isinstance(kind, IntType) and kind.minimum is not None and kind.maximum is not None:
-        if kind.maximum - kind.minimum >= sys.maxsize:
-            raise InfiniteDomainError(
-                f"attribute {attribute.name!r} has more than {sys.maxsize} values "
-                f"and cannot be enumerated"
-            )
-        return range(kind.minimum, kind.maximum + 1)
-    raise InfiniteDomainError(
-        f"attribute {attribute.name!r} has an infinite data type; "
-        f"an extensional enumeration does not exist"
-    )
+    return range(kind.minimum, kind.maximum + 1)
 
 
 def value_spaces(taxonomy: Taxonomy) -> list[Sequence[AttributeValue]]:
     """The value space of every attribute, in taxonomy order.
 
     Raises:
-        InfiniteDomainError: if any attribute is real, unbounded or too wide (see ``value_space``).
+        InfiniteDomainError: if the domain is infinite.
     """
     if domain_cardinality(taxonomy) == math.inf:
         raise InfiniteDomainError(

@@ -35,7 +35,7 @@ class TraceError(OddspecError):
 
 
 class InfiniteDomainError(OddspecError):
-    """Enumeration was requested for a domain that cannot be enumerated: infinite or too wide."""
+    """Enumeration was requested for an infinite domain."""
 
 
 class UnknownValueError(OddspecError):

@@ -30,7 +30,7 @@ from .errors import (
     UnknownValueError,
 )
 from .specdsl import Atom, Plan, Probe, WellFormedSpec, _check_atom
-from .taxonomy import Taxonomy, _check_binding
+from .taxonomy import Taxonomy, _check_binding, _type_cardinality
 
 
 class Verdict(enum.Enum):
@@ -205,8 +205,7 @@ def enumerate_odd(
     Raises:
         EvaluationError: the spec was checked against a taxonomy that is
             not equal to ``taxonomy``.
-        InfiniteDomainError: if any attribute is real-valued, unbounded or
-            too wide to enumerate (see ``value_space``).
+        InfiniteDomainError: if the domain is infinite.
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
     spaces = value_spaces(taxonomy)
@@ -227,9 +226,9 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
     spaces = value_spaces(taxonomy)
-    mentioned = sorted({index for index, *_ in spec.probes})
-    order = mentioned + sorted(set(range(len(spaces))) - set(mentioned))
-    sizes = [len(spaces[position]) for position in order]
+    mentioned = {index for index, *_ in spec.probes}
+    order = sorted(mentioned) + [index for index, _ in enumerate(spaces) if index not in mentioned]
+    sizes = [_type_cardinality(taxonomy.attributes[index].attr_type) for index in order]
     return sum(math.prod(sizes[depth:]) for _, depth in _admitting_prefixes(spec, spaces, order))
 
 

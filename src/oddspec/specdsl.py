@@ -120,7 +120,7 @@ class WellFormedSpec:
 # Lexer
 # --------------------------------------------------------------------------
 
-_KEYWORDS = {"and": "AND", "or": "OR", "not": "NOT", "true": "TRUE", "false": "FALSE"}
+_KEYWORDS = {word: word.upper() for word in RESERVED_WORDS}
 
 # One alternative per token kind, tried left to right. POINT, EQUALS, MINUS
 # and CHAR match malformed input so that it gets a specific message.

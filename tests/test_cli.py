@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddspec import TraceError, check_spec, eval_spec, parse_spec, parse_taxonomy, parse_trace, render_value
+from oddspec import OddspecError, TraceError, check_spec, eval_spec, parse_spec, parse_taxonomy, parse_trace, render_value
 from oddspec.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +31,16 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
     )
+
+
+def _wide_taxonomy(directory, maximum):
+    """A taxonomy file declaring {a: int 0..maximum, b: bool}."""
+    path = directory / "wide.json"
+    path.write_text(
+        '{"version": "1", "attributes": [{"name": "a", "type": "int", "min": 0, '
+        '"max": %d}, {"name": "b", "type": "bool"}]}' % maximum
+    )
+    return path
 
 
 GOLDEN_CASES = [
@@ -183,6 +193,47 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert not report.exists()
 
+    def test_enumerate_into_a_closed_pipe_ends_cleanly(self, tmp_path):
+        # a reader of a listing may stop at any line, as `| head -3` does
+        taxonomy = _wide_taxonomy(tmp_path, 10**12)
+        argv = [sys.executable, "-m", "oddspec", "enumerate", "--taxonomy", str(taxonomy)]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as child:
+            lines = [child.stdout.readline() for _ in range(3)]
+            child.stdout.close()
+            try:
+                returncode = child.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
+            stderr = child.stderr.read()
+        assert lines == ["0,true\n", "0,false\n", "1,true\n"]
+        assert returncode == 0
+        assert stderr == ""
+
+    def test_monitor_into_a_closed_pipe_fails(self, tmp_path):
+        # the exit status and the report depend on the whole trace, so a
+        # monitor cut short must not claim success
+        trace = "".join(
+            '{"t": %d, "x": 0, "y": 0, "values": {"road_type": "rural"}}\n' % t
+            for t in range(20_000)
+        )
+        argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,
+                "--spec", SPEC, "--trace", "-"]
+        with subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        ) as child:
+            child.stdout.close()
+            try:
+                _, stderr = child.communicate(trace, timeout=60)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
+        assert child.returncode == 1
+        assert stderr.startswith("error: [Errno 32] Broken pipe\n")
+
     def test_monitor_reads_the_trace_from_stdin(self, tmp_path):
         argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,
                 "--spec", SPEC, "--trace", "-"]
@@ -329,25 +380,50 @@ class TestMalformedInputs:
         assert main(["validate", "--taxonomy", str(taxonomy)]) == 0
         assert f"cardinality: 1{'0' * 6000}\n" in capsys.readouterr().out
 
-    def test_int_wider_than_sys_maxsize_is_refused(self, tmp_path, capsys):
-        # 10**20 + 1 values: more than len() can take
-        taxonomy = tmp_path / "wide.json"
-        taxonomy.write_text(
-            '{"version": "1", "attributes": [{"name": "a", "type": "int", "min": 0, '
-            '"max": %d}, {"name": "b", "type": "bool"}]}' % 10**20
-        )
+    def test_int_wider_than_sys_maxsize_is_counted(self, tmp_path, capsys):
+        # 10**20 + 1 values: more than len() can take. Not enumerated here,
+        # as that would print 10**20 lines.
+        taxonomy = _wide_taxonomy(tmp_path, 10**20)
         spec = tmp_path / "b.spec"
         spec.write_text("b == true\n")
-        for argv in (
-            ["validate", "--taxonomy", str(taxonomy), "--spec", str(spec)],
-            ["enumerate", "--taxonomy", str(taxonomy)],
-            ["enumerate", "--taxonomy", str(taxonomy), "--spec", str(spec)],
-        ):
-            assert main(argv) == 2
+        assert main(["validate", "--taxonomy", str(taxonomy), "--spec", str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(
+            "cardinality: 200000000000000000002\nodd cardinality: 100000000000000000001\n"
+        )
+        assert captured.err == ""
+
+
+BAD_TAXONOMY = '{"version": "1", "attributes": [{"name": "road_type", "type": "enum"}]}'
+BAD_SPEC = "road_type == \n"
+
+
+class TestInputOrder:
+    # every command reads the taxonomy, then the spec, then its own input,
+    # and reports the first that fails
+    COMMANDS = {
+        "validate": [],
+        "check": [],
+        "eval": ["--lod", "{"],
+        "enumerate": [],
+        "monitor": ["--trace", "no/such/trace"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_taxonomy_is_reported_before_the_spec(self, tmp_path, capsys, command):
+        taxonomy, spec = tmp_path / "bad.json", tmp_path / "bad.spec"
+        taxonomy.write_text(BAD_TAXONOMY)
+        spec.write_text(BAD_SPEC)
+        with pytest.raises(OddspecError) as taxonomy_error:
+            parse_taxonomy(BAD_TAXONOMY)
+        with pytest.raises(OddspecError) as spec_error:
+            parse_spec(BAD_SPEC)
+        rest = ["--spec", str(spec), *self.COMMANDS[command]]
+        for path, error in ((taxonomy, taxonomy_error), (TAXONOMY, spec_error)):
+            assert main([command, "--taxonomy", str(path), *rest]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            _assert_one_error_line(captured.err)
-            assert "attribute 'a' has more than" in captured.err
+            assert captured.err == f"error: {error.value}\n"
 
 
 GOOD_RECORDS = [

@@ -23,6 +23,7 @@ from oddspec import (
     TraceError,
     check_spec,
     cod_of,
+    count_odd,
     domain_cardinality,
     enumerate_od,
     enumerate_odd,
@@ -85,6 +86,25 @@ class TestMakeLod:
         with pytest.raises(LodError, match="non-negative"):
             make_lod(finite_taxonomy, {}, t=-0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["t", "x", "y"])
+    def test_non_finite_time_or_coordinate(self, finite_taxonomy, key, value):
+        # json.dumps would write it as Infinity or NaN, which no trace accepts
+        with pytest.raises(LodError, match="time must be" if key == "t" else f"'{key}' must be"):
+            make_lod(finite_taxonomy, {}, **{key: value})
+
+    def test_finite_extremes_round_trip(self, finite_taxonomy):
+        coordinates = [
+            (0.0, 1e308, -1e308),
+            (5e-324, -0.0, 5e-324),
+            (1e308, sys.float_info.max, -sys.float_info.max),
+        ]
+        trace = Trace(
+            finite_taxonomy,
+            [make_lod(finite_taxonomy, {}, t=t, x=x, y=y) for t, x, y in coordinates],
+        )
+        assert parse_trace(serialize_trace(trace), finite_taxonomy) == trace
+
     def test_int_widens_to_float_for_real_attributes(self, motorway_taxonomy):
         lod = make_lod(motorway_taxonomy, {"operational_speed": 45})
         assert lod.values[2] == 45.0
@@ -140,16 +160,21 @@ class TestEnumerateOd:
         t = Taxonomy((Attribute("n", IntType(minimum=-1, maximum=1)),))
         assert list(enumerate_od(t)) == [(-1,), (0,), (1,)]
 
-    def test_int_wider_than_sys_maxsize_refuses_by_name(self):
-        # len() fails past sys.maxsize values; an int range of exactly that
-        # many is still a value space
+    def test_int_wider_than_sys_maxsize_streams_and_counts(self):
+        # len() fails past sys.maxsize values; a range of any width still
+        # streams, and count_odd sizes it from the data type, not with len()
         def taxonomy(values):
             wide = Attribute("n", IntType(minimum=1, maximum=values))
             return Taxonomy((Attribute("b", BoolType()), wide))
 
         assert len(value_space(taxonomy(sys.maxsize).attributes[1])) == sys.maxsize
-        with pytest.raises(InfiniteDomainError, match="attribute 'n' has more than"):
-            enumerate_od(taxonomy(sys.maxsize + 1))
+        wide = taxonomy(sys.maxsize + 1)
+        tuples = enumerate_od(wide)
+        assert [next(tuples) for _ in range(3)] == [(True, 1), (True, 2), (True, 3)]
+        spec = check_spec(parse_spec("b == false"), wide)
+        admitted = enumerate_odd(wide, spec)
+        assert [next(admitted) for _ in range(2)] == [(False, 1), (False, 2)]
+        assert count_odd(wide, spec) == sys.maxsize + 1
 
     @pytest.mark.parametrize(
         "attr_type", [RealType("kmh", 0.0, 1.0), IntType(minimum=0), IntType(maximum=0)]

@@ -18,12 +18,14 @@ from oddspec import (
     Not,
     Predicate,
     PredicateNotApplicableError,
+    RealEqualityWarning,
     Taxonomy,
     UnknownValueError,
     Verdict,
     check_spec,
     count_odd,
     diagnose,
+    domain_cardinality,
     enumerate_od,
     enumerate_odd,
     eval_atom,
@@ -33,6 +35,7 @@ from oddspec import (
     kleene_not,
     make_lod,
     parse_spec,
+    value_space,
 )
 from oracles import (
     SPEC_FAMILY,
@@ -107,7 +110,9 @@ class TestEvalAtom:
 
     def test_int_literal_against_real_value(self, motorway_taxonomy):
         atom = Atom("operational_speed", Predicate.EQ, 45)
-        assert eval_atom(atom, _lod(motorway_taxonomy, speed=45.0), motorway_taxonomy) is T
+        with pytest.warns(RealEqualityWarning):
+            verdict = eval_atom(atom, _lod(motorway_taxonomy, speed=45.0), motorway_taxonomy)
+        assert verdict is T
 
     def test_ordered_enum_uses_label_order(self):
         t = Taxonomy((Attribute("level", EnumType(("lo", "mid", "hi"), ordered=True)),))
@@ -364,6 +369,25 @@ class TestPrunedEnumeration:
             spec = check_spec(ast, taxonomy)
             assert list(enumerate_odd(taxonomy, spec)) == oracle, name
             assert count_odd(taxonomy, spec) == len(oracle), name
+
+    @pytest.mark.parametrize(
+        "taxonomy",
+        [
+            *SPEC_FAMILY,
+            # 2 * (10**20 + 1) tuples, more than len() of a range can count
+            Taxonomy(
+                (Attribute("a", IntType(minimum=0, maximum=10**20)), Attribute("b", BoolType())),
+                version="wide",
+            ),
+        ],
+        ids=lambda t: t.version,
+    )
+    def test_a_tautology_admits_the_whole_domain(self, taxonomy):
+        # the OD and the ODD are sized from the same per-type cardinality
+        attribute = taxonomy.attributes[-1]
+        atom = Atom(attribute.name, Predicate.EQ, value_space(attribute)[0])
+        spec = check_spec(Not(And(atom, Not(atom))), taxonomy)
+        assert count_odd(taxonomy, spec) == domain_cardinality(taxonomy)
 
     def test_deep_taxonomy_walks_without_recursion(self):
         # 2**2000 tuples: a walk that recursed per attribute would hit the
