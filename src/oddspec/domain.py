@@ -117,7 +117,7 @@ def make_lod(
 
     Raises:
         LodError: unknown attribute name, out-of-domain value, t < 0, or a
-            non-finite t, x or y.
+            t, x or y that is not a finite int or float (a bool is not).
     """
     decoder = taxonomy._index
     values: list[AttributeValue] = [UNKNOWN] * len(decoder)
@@ -134,6 +134,13 @@ def make_lod(
                 f"value {value!r} is outside the domain of attribute {name!r}"
             )
         values[position] = stored
+    # float() would take a bool or a numeric string and overflow on an int past
+    # the float range; Lod refuses a float that is not finite
+    for name, v in (("time", t), ("'x'", x), ("'y'", y)):
+        if not isinstance(v, float) and (
+            isinstance(v, bool) or not isinstance(v, int) or not abs(v) <= _FLOAT_MAX
+        ):
+            raise LodError(f"{name} must be a finite number, got {v!r}")
     return Lod(t=float(t), x=float(x), y=float(y), values=tuple(values))
 
 
@@ -292,13 +299,13 @@ def cod_of(trace: Trace, now: float) -> Lod:
     """Sample-and-hold lookup: the sample with the greatest t <= now.
 
     Raises:
-        TraceError: empty trace, or ``now`` precedes the first sample.
+        TraceError: empty trace, or ``now`` is NaN or precedes the first
+            sample.
     """
     if not trace.samples:
         raise TraceError("trace has no samples")
-    position = bisect_right(trace.samples, now, key=attrgetter("t"))
-    if position == 0:
+    if not now >= trace.samples[0].t:  # also true for a NaN time
         raise TraceError(
             f"time {now} precedes the first sample at t={trace.samples[0].t}"
         )
-    return trace.samples[position - 1]
+    return trace.samples[bisect_right(trace.samples, now, key=attrgetter("t")) - 1]

@@ -80,11 +80,10 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
 
 def _verdicts(probes: Iterable[Probe], values: Sequence[AttributeValue]) -> list[int]:
     """One rank per probe: 1 (Unknown) for an unmeasured value, else 2 or 0
-    as the value (or its label rank) compares with the literal or not."""
+    as the probe's test holds on the value or not."""
     return [
-        1 if (value := values[index]) is UNKNOWN
-        else 2 * compare(value if ranks is None else ranks[value], literal)
-        for index, compare, literal, ranks in probes
+        1 if (value := values[index]) is UNKNOWN else 2 * test(literal, value)
+        for index, test, literal in probes
     ]
 
 

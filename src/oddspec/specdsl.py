@@ -78,7 +78,7 @@ class And:
 
 SpecAst = Union[Atom, Not, And]
 
-Probe = tuple[int, Callable[[object, object], bool], object, "dict[str, int] | None"]
+Probe = tuple[int, Callable[[object, object], bool], object]
 Plan = Union[int, tuple]
 
 
@@ -96,10 +96,10 @@ class WellFormedSpec:
     ``check_spec`` compiles the tree once. ``atoms`` are the distinct atoms
     in first-occurrence order; ``blame[i]`` is true when atom ``i`` occurs
     under an even number of negations. ``probes[i]`` is atom ``i``'s
-    ``(value index, comparator, literal or its label rank, rank table or
-    None)``. ``plan`` is the tree over atom positions: an int is an atom, a
-    1-tuple negates its element and a 2-tuple conjoins its two; ``not not``
-    chains are folded away, so no 1-tuple holds another.
+    ``(value index, test, literal)``, ``test(literal, value)`` its truth on
+    a measured value. ``plan`` is the tree over atom positions: an int is an
+    atom, a 1-tuple negates its element and a 2-tuple conjoins its two;
+    ``not not`` chains are folded away, so no 1-tuple holds another.
     ``mentioned_attributes`` is derived from ``atoms``.
     """
 
@@ -342,37 +342,35 @@ def atoms(ast: SpecAst) -> list[Atom]:
 # --------------------------------------------------------------------------
 
 
-_COMPARE = {
+# _TESTS[p](literal, value) is ``value p literal``.
+_TESTS = {
     Predicate.EQ: operator.eq,
-    Predicate.LT: operator.lt,
-    Predicate.GT: operator.gt,
-    Predicate.LE: operator.le,
-    Predicate.GE: operator.ge,
+    Predicate.LT: operator.gt,
+    Predicate.GT: operator.lt,
+    Predicate.LE: operator.ge,
+    Predicate.GE: operator.le,
 }
 
 
 def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
-    """Check one atom against the taxonomy and return its probe."""
+    """Check one atom and compile it; an ordered-enum ordering atom becomes a label set."""
     if atom.attribute_name not in taxonomy:
         raise SpecCheckError(f"unknown attribute {atom.attribute_name!r}")
     index = taxonomy.index_of(atom.attribute_name)
     attribute = taxonomy.attributes[index]
     kind = attribute.attr_type
     literal = atom.literal
-    ranks = None
 
     if isinstance(kind, EnumType):
         if not isinstance(literal, str):
             raise SpecCheckError(
                 f"{atom.attribute_name}: expected an enum label, got {literal!r}"
             )
-        if atom.predicate in ORDERING_PREDICATES:
-            if not kind.ordered:
-                raise PredicateNotApplicableError(
-                    f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
-                    f"for an unordered enum"
-                )
-            ranks = {label: rank for rank, label in enumerate(kind.labels)}
+        if atom.predicate in ORDERING_PREDICATES and not kind.ordered:
+            raise PredicateNotApplicableError(
+                f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
+                f"for an unordered enum"
+            )
     elif isinstance(kind, BoolType):
         if not isinstance(literal, bool):
             raise SpecCheckError(
@@ -415,9 +413,12 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
                 f"declared unit {declared!r}"
             )
 
-    if ranks is not None:
-        literal = ranks[literal]
-    return (index, _COMPARE[atom.predicate], literal, ranks)
+    test = _TESTS[atom.predicate]
+    if isinstance(kind, EnumType) and atom.predicate in ORDERING_PREDICATES:
+        rank = kind.labels.index(literal)
+        admitted = frozenset(label for r, label in enumerate(kind.labels) if test(rank, r))
+        return (index, operator.contains, admitted)
+    return (index, test, literal)
 
 
 def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:

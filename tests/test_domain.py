@@ -86,7 +86,17 @@ class TestMakeLod:
         with pytest.raises(LodError, match="non-negative"):
             make_lod(finite_taxonomy, {}, t=-0.5)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan]
+        + [
+            pytest.param(value, id=name)
+            for name, value in [
+                ("bool", True), ("str", "1"), ("bytes", b"1"), ("none", None),
+                ("huge", 10**400), ("-huge", -(10**400)),
+            ]
+        ],
+    )
     @pytest.mark.parametrize("key", ["t", "x", "y"])
     def test_non_finite_time_or_coordinate(self, finite_taxonomy, key, value):
         # json.dumps would write it as Infinity or NaN, which no trace accepts
@@ -351,6 +361,8 @@ class TestCodOf:
         trace = _trace_at(finite_taxonomy, [0.5, 1.0])
         with pytest.raises(TraceError, match="precedes"):
             cod_of(trace, 0.2)
+        with pytest.raises(TraceError, match="nan"):  # no sample has t <= nan
+            cod_of(trace, math.nan)
 
     def test_empty_trace(self, finite_taxonomy):
         with pytest.raises(TraceError, match="no samples"):

@@ -24,6 +24,7 @@ from oddspec import (
     diagnose,
     make_lod,
     parse_spec,
+    render_value,
     serialize_spec,
 )
 from oddspec.specdsl import _lex
@@ -234,6 +235,10 @@ class TestCheck:
         with pytest.raises(SpecCheckError, match="unknown attribute"):
             check_spec(parse_spec("fog_density == high"), motorway_taxonomy)
 
+    def test_non_node_rejected(self, motorway_taxonomy):
+        with pytest.raises(TypeError, match="not a spec node"):
+            check_spec(object(), motorway_taxonomy)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -369,6 +374,10 @@ class TestSerialize:
     def test_non_identifier_label_has_no_syntax(self):
         with pytest.raises(ValueError):
             serialize_spec(Atom("x", Predicate.EQ, "Not A Label"))
+
+    def test_unsupported_literal_has_no_syntax(self):
+        with pytest.raises(ValueError, match="unsupported literal"):
+            render_value(object())
 
 
 IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

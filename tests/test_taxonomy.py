@@ -81,6 +81,8 @@ def test_json_syntax_error_reports_position():
         ({"name": "x", "type": "bool", "labels": ["a"]}, "unexpected keys"),
         ({"name": "x", "type": "int", "min": 1.5}, "integer"),
         ({"type": "bool"}, "missing name"),
+        ({"name": "x", "type": "bool", "description": 5}, "description must be a string"),
+        ({"name": "x", "type": "int", "min": "0"}, "bound '0' is not a number"),
     ],
 )
 def test_invalid_attribute_entries(entry, pattern):
@@ -104,6 +106,11 @@ def test_out_of_range_numbers():
 def test_missing_version_rejected():
     with pytest.raises(TaxonomyError, match="version"):
         parse_taxonomy('{"attributes": []}')
+
+
+def test_missing_attributes_rejected():
+    with pytest.raises(TaxonomyError, match="missing 'attributes' list"):
+        parse_taxonomy('{"version": "1"}')
 
 
 def test_direct_construction_enforces_invariants():
