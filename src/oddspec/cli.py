@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from typing import Iterator
 
 from .domain import enumerate_od, iter_trace, parse_lod
@@ -84,10 +83,9 @@ def cmd_validate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
     for attribute in taxonomy.attributes:
         print(f"  {attribute.name}: {_type_summary(attribute.attr_type)}")
     size = domain_cardinality(taxonomy)
-    # Decimal prints an int of any length; str() stops at 4300 digits
-    print(f"cardinality: {'infinite' if size == math.inf else format(Decimal(size), 'f')}")
+    print(f"cardinality: {'infinite' if size == math.inf else render_value(size)}")
     if odd_size is not None:
-        print(f"odd cardinality: {format(Decimal(odd_size), 'f')}")
+        print(f"odd cardinality: {render_value(odd_size)}")
     return 0
 
 

@@ -35,6 +35,7 @@ from .taxonomy import (
     BoolType,
     EnumType,
     Taxonomy,
+    _shown,
     _type_cardinality,
     domain_cardinality,
 )
@@ -65,7 +66,11 @@ def is_unknown(value: AttributeValue) -> bool:
 
 @dataclass(frozen=True)
 class Lod:
-    """One domain sample: values in taxonomy attribute order."""
+    """One domain sample: values in taxonomy attribute order, at time ``t``
+    and place ``(x, y)``. Every way of building a sample ends in this check
+    of ``t``, ``x`` and ``y``: each is an int or float (not a bool) no larger
+    in magnitude than the largest float, and ``t`` is not negative. Each is
+    stored as a float."""
 
     t: float
     x: float
@@ -73,14 +78,27 @@ class Lod:
     values: tuple[AttributeValue, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not 0 <= self.t <= _FLOAT_MAX:
-            adjective = "finite" if self.t >= 0 else "non-negative"
-            raise LodError(f"time must be a {adjective} number, got {self.t!r}")
-        if not abs(self.x) <= _FLOAT_MAX:
-            raise LodError(f"'x' must be a finite number, got {self.x!r}")
-        if not abs(self.y) <= _FLOAT_MAX:
-            raise LodError(f"'y' must be a finite number, got {self.y!r}")
+        if type(self.values) is not tuple:
+            object.__setattr__(self, "values", tuple(self.values))
+        if type(self.t) is not float or not 0 <= self.t <= _FLOAT_MAX:
+            object.__setattr__(self, "t", _number("time", self.t))
+        if type(self.x) is not float or not abs(self.x) <= _FLOAT_MAX:
+            object.__setattr__(self, "x", _number("'x'", self.x))
+        if type(self.y) is not float or not abs(self.y) <= _FLOAT_MAX:
+            object.__setattr__(self, "y", _number("'y'", self.y))
+
+
+def _number(name: str, value) -> float:
+    """``Lod``'s check of a time or coordinate; a refusal calls it ``name``."""
+    if not isinstance(value, bool) and (
+        isinstance(value, float) or isinstance(value, int) and abs(value) <= _FLOAT_MAX
+    ):
+        value = float(value)
+        if name == "time" and not value >= 0:  # also true for a NaN time
+            raise LodError(f"time must be a non-negative number, got {value!r}")
+        if abs(value) <= _FLOAT_MAX:
+            return value
+    raise LodError(f"{name} must be a finite number, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +134,8 @@ def make_lod(
     The result does not depend on the map's iteration order.
 
     Raises:
-        LodError: unknown attribute name, out-of-domain value, t < 0, or a
-            t, x or y that is not a finite int or float (a bool is not).
+        LodError: unknown attribute name, out-of-domain value, or a time or
+            coordinate that ``Lod`` refuses.
     """
     decoder = taxonomy._index
     values: list[AttributeValue] = [UNKNOWN] * len(decoder)
@@ -131,17 +149,10 @@ def make_lod(
         stored = accept(value)
         if stored is _REJECT:
             raise LodError(
-                f"value {value!r} is outside the domain of attribute {name!r}"
+                f"value {_shown(value)} is outside the domain of attribute {name!r}"
             )
         values[position] = stored
-    # float() would take a bool or a numeric string and overflow on an int past
-    # the float range; Lod refuses a float that is not finite
-    for name, v in (("time", t), ("'x'", x), ("'y'", y)):
-        if not isinstance(v, float) and (
-            isinstance(v, bool) or not isinstance(v, int) or not abs(v) <= _FLOAT_MAX
-        ):
-            raise LodError(f"{name} must be a finite number, got {v!r}")
-    return Lod(t=float(t), x=float(x), y=float(y), values=tuple(values))
+    return Lod(t=t, x=x, y=y, values=tuple(values))
 
 
 def value_space(attribute: Attribute) -> Sequence[AttributeValue]:
@@ -235,14 +246,14 @@ def _parse_record(line: str, lineno: int, taxonomy: Taxonomy) -> Lod:
         if missing:
             raise fail(f"missing keys {sorted(missing)}")
         raise fail(f"unexpected keys {sorted(record.keys() - _RECORD_KEYS)}")
-    for key in ("t", "x", "y"):
-        raw = record[key]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not abs(raw) <= _FLOAT_MAX:
-            raise fail(f"{key!r} must be a finite number, got {raw!r}")
-    if not isinstance(record["values"], dict):
-        raise fail("'values' must be an object")
     try:
-        return make_lod(taxonomy, record["values"], t=record["t"], x=record["x"], y=record["y"])
+        # Lod's check, but naming the record's key 't' where Lod says "time"
+        t = _number("'t'", record["t"])
+        x = _number("'x'", record["x"])
+        y = _number("'y'", record["y"])
+        if not isinstance(record["values"], dict):
+            raise fail("'values' must be an object")
+        return make_lod(taxonomy, record["values"], t=t, x=x, y=y)
     except LodError as exc:
         raise fail(str(exc)) from exc
 

@@ -38,10 +38,6 @@ class Verdict(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    @staticmethod
-    def from_bool(value: bool) -> "Verdict":
-        return Verdict.TRUE if value else Verdict.FALSE
-
 
 _VERDICT = (Verdict.FALSE, Verdict.UNKNOWN, Verdict.TRUE)
 _RANK = {verdict: rank for rank, verdict in enumerate(_VERDICT)}

@@ -40,6 +40,7 @@ from .taxonomy import (
     EnumType,
     RealType,
     Taxonomy,
+    _shown,
     value_in_domain,
 )
 
@@ -364,7 +365,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
     if isinstance(kind, EnumType):
         if not isinstance(literal, str):
             raise SpecCheckError(
-                f"{atom.attribute_name}: expected an enum label, got {literal!r}"
+                f"{atom.attribute_name}: expected an enum label, got {_shown(literal)}"
             )
         if atom.predicate in ORDERING_PREDICATES and not kind.ordered:
             raise PredicateNotApplicableError(
@@ -374,7 +375,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
     elif isinstance(kind, BoolType):
         if not isinstance(literal, bool):
             raise SpecCheckError(
-                f"{atom.attribute_name}: expected true or false, got {literal!r}"
+                f"{atom.attribute_name}: expected true or false, got {_shown(literal)}"
             )
         if atom.predicate in ORDERING_PREDICATES:
             raise PredicateNotApplicableError(
@@ -461,7 +462,7 @@ def render_value(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _shown(value, str)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite literal {value!r} has no syntax")

@@ -26,6 +26,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import TaxonomyError
 
@@ -49,6 +50,14 @@ _REJECT = object()
 # A number is a finite real when abs(number) <= _FLOAT_MAX. Unlike
 # math.isfinite, the comparison does not raise on an int past the float range.
 _FLOAT_MAX = sys.float_info.max
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)``; Decimal writes an int past the 4300 digits str() stops at."""
+    try:
+        return show(value)
+    except ValueError:
+        return format(Decimal(value), "f")
 
 
 @dataclass(frozen=True)

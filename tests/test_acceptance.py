@@ -90,7 +90,7 @@ def test_criterion_2_worked_example_spec_against_truth_table(
         ]
         for values in [base] + mutations:
             got = eval_spec(motorway_spec, Lod(0.0, 0.0, 0.0, values))
-            assert got is Verdict.from_bool(oracle(*values)), values
+            assert got is (Verdict.TRUE if oracle(*values) else Verdict.FALSE), values
         assert eval_spec(motorway_spec, Lod(0.0, 0.0, 0.0, base)) is Verdict.TRUE
         for values in mutations:
             assert eval_spec(motorway_spec, Lod(0.0, 0.0, 0.0, values)) is Verdict.FALSE

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oddspec import (
     UNKNOWN,
+    Atom,
     Attribute,
     BoolType,
     EnumType,
@@ -17,7 +18,9 @@ from oddspec import (
     IntType,
     Lod,
     LodError,
+    Predicate,
     RealType,
+    SpecCheckError,
     Taxonomy,
     Trace,
     TraceError,
@@ -85,23 +88,41 @@ class TestMakeLod:
     def test_negative_time(self, finite_taxonomy):
         with pytest.raises(LodError, match="non-negative"):
             make_lod(finite_taxonomy, {}, t=-0.5)
+        for t in (-0.5, -math.inf, math.nan):
+            with pytest.raises(LodError) as caught:
+                make_lod(finite_taxonomy, {}, t=t)
+            assert str(caught.value) == f"time must be a non-negative number, got {t!r}"
 
+    def test_the_first_bad_field_is_reported(self, finite_taxonomy):
+        # t, then x, then y; a negative t counts before a bad x
+        with pytest.raises(LodError) as caught:
+            make_lod(finite_taxonomy, {}, t=-1, x="a", y=math.nan)
+        assert str(caught.value) == "time must be a non-negative number, got -1.0"
+        with pytest.raises(LodError) as caught:
+            Lod(t=0, x=math.inf, y=None, values=())
+        assert str(caught.value) == "'x' must be a finite number, got inf"
+
+    # make_lod keeps its bare ids; the same cases through Lod end in "-Lod"
     @pytest.mark.parametrize(
-        "value",
-        [math.inf, -math.inf, math.nan]
-        + [
-            pytest.param(value, id=name)
+        "constructor, key, value",
+        [
+            pytest.param(constructor, key, value, id=f"{key}-{name}{suffix}")
+            for constructor, suffix in [("make_lod", ""), ("Lod", "-Lod")]
+            for key in ["t", "x", "y"]
             for name, value in [
+                ("inf", math.inf), ("-inf", -math.inf), ("nan", math.nan),
                 ("bool", True), ("str", "1"), ("bytes", b"1"), ("none", None),
                 ("huge", 10**400), ("-huge", -(10**400)),
             ]
         ],
     )
-    @pytest.mark.parametrize("key", ["t", "x", "y"])
-    def test_non_finite_time_or_coordinate(self, finite_taxonomy, key, value):
+    def test_non_finite_time_or_coordinate(self, finite_taxonomy, constructor, key, value):
         # json.dumps would write it as Infinity or NaN, which no trace accepts
         with pytest.raises(LodError, match="time must be" if key == "t" else f"'{key}' must be"):
-            make_lod(finite_taxonomy, {}, **{key: value})
+            if constructor == "Lod":
+                Lod(**{"t": 0.0, "x": 0.0, "y": 0.0, key: value}, values=())
+            else:
+                make_lod(finite_taxonomy, {}, **{key: value})
 
     def test_finite_extremes_round_trip(self, finite_taxonomy):
         coordinates = [
@@ -393,6 +414,63 @@ def test_lod_time_invariant():
         Lod(t=-1.0, x=0.0, y=0.0, values=())
     with pytest.raises(LodError):
         Lod(t=math.nan, x=0.0, y=0.0, values=())
+
+
+def test_lod_stores_floats_and_a_tuple():
+    lod = Lod(t=1, x=0, y=-2, values=["motorway", False])
+    assert [type(field) for field in (lod.t, lod.x, lod.y, lod.values)] == [float] * 3 + [tuple]
+    same = Lod(t=1.0, x=0.0, y=-2.0, values=("motorway", False))
+    assert lod == same and hash(lod) == hash(same)
+
+
+HUGE = 10**5000  # past the 4300 digits str() and repr() write
+
+
+@pytest.mark.parametrize(
+    "refuse, error, pattern",
+    [
+        pytest.param(
+            lambda tax: make_lod(tax, {}, t=HUGE), LodError, "time must be a finite number",
+            id="time",
+        ),
+        pytest.param(
+            lambda tax: make_lod(tax, {}, x=-HUGE), LodError, "'x' must be a finite number",
+            id="coordinate",
+        ),
+        pytest.param(
+            lambda tax: make_lod(tax, {"s": HUGE}), LodError, "outside the domain of attribute 's'",
+            id="real-value",
+        ),
+        pytest.param(
+            lambda tax: make_lod(tax, {"n": HUGE}), LodError, "outside the domain of attribute 'n'",
+            id="bounded-int-value",
+        ),
+        pytest.param(
+            lambda tax: check_spec(Atom("n", Predicate.EQ, HUGE), tax), SpecCheckError,
+            "n: literal .* is outside the attribute's domain", id="int-literal",
+        ),
+        pytest.param(
+            lambda tax: check_spec(Atom("e", Predicate.EQ, HUGE), tax), SpecCheckError,
+            "e: expected an enum label", id="enum-literal",
+        ),
+        pytest.param(
+            lambda tax: check_spec(Atom("b", Predicate.EQ, HUGE), tax), SpecCheckError,
+            "b: expected true or false", id="bool-literal",
+        ),
+    ],
+)
+def test_an_int_too_long_for_str_is_refused_with_the_package_error(refuse, error, pattern):
+    taxonomy = Taxonomy(
+        (
+            Attribute("s", RealType("kmh")),
+            Attribute("n", IntType(minimum=0, maximum=5)),
+            Attribute("e", EnumType(("a", "b"))),
+            Attribute("b", BoolType()),
+        )
+    )
+    with pytest.raises(error, match=pattern) as caught:
+        refuse(taxonomy)
+    assert "0" * 5000 in str(caught.value)
 
 
 @settings(max_examples=100, deadline=None)

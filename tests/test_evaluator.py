@@ -216,7 +216,7 @@ def test_or_desugar_equals_disjunction():
                 expected = (
                     eval_spec(left_spec, lod) is T or eval_spec(right_spec, lod) is T
                 )
-                assert eval_spec(rewritten, lod) is Verdict.from_bool(expected)
+                assert eval_spec(rewritten, lod) is (Verdict.TRUE if expected else Verdict.FALSE)
 
 
 class TestAgainstTwoValuedOracle:
@@ -231,7 +231,7 @@ class TestAgainstTwoValuedOracle:
             for values in domain:
                 expected = eval_two_valued(ast, assignment_of(taxonomy, values), orders)
                 got = eval_spec(spec, Lod(0.0, 0.0, 0.0, values))
-                assert got is Verdict.from_bool(expected)
+                assert got is (Verdict.TRUE if expected else Verdict.FALSE)
 
 
 class TestAgainstKleeneOracle:
@@ -509,4 +509,4 @@ class TestKleeneRefinement:
                     expected = eval_two_valued(
                         ast, assignment_of(finite_taxonomy, completion), orders
                     )
-                    assert verdict is Verdict.from_bool(expected)
+                    assert verdict is (Verdict.TRUE if expected else Verdict.FALSE)
