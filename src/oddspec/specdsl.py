@@ -38,6 +38,7 @@ from .taxonomy import (
     RESERVED_WORDS,
     BoolType,
     EnumType,
+    IntType,
     RealType,
     Taxonomy,
     _shown,
@@ -353,52 +354,46 @@ _TESTS = {
 }
 
 
+# Per data type: the Python type its literals have, the noun that refuses a
+# literal of another kind and, for a type that can lack an order, the noun
+# that refuses an ordering atom on it.
+_LITERAL_RULES = {
+    EnumType: (str, "an enum label", "an unordered enum"),
+    BoolType: (bool, "true or false", "a boolean attribute"),
+    RealType: ((int, float), "a number", None),
+    IntType: (int, "an integer", None),
+}
+
+
 def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
-    """Check one atom and compile it; an ordered-enum ordering atom becomes a label set."""
+    """Check one atom against its attribute's row of ``_LITERAL_RULES``,
+    then its domain and unit, and compile it; an ordered-enum ordering atom
+    becomes a label set."""
     if atom.attribute_name not in taxonomy:
         raise SpecCheckError(f"unknown attribute {atom.attribute_name!r}")
     index = taxonomy.index_of(atom.attribute_name)
     attribute = taxonomy.attributes[index]
     kind = attribute.attr_type
     literal = atom.literal
+    accepted, noun, unordered = _LITERAL_RULES[type(kind)]
 
-    if isinstance(kind, EnumType):
-        if not isinstance(literal, str):
-            raise SpecCheckError(
-                f"{atom.attribute_name}: expected an enum label, got {_shown(literal)}"
-            )
-        if atom.predicate in ORDERING_PREDICATES and not kind.ordered:
-            raise PredicateNotApplicableError(
-                f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
-                f"for an unordered enum"
-            )
-    elif isinstance(kind, BoolType):
-        if not isinstance(literal, bool):
-            raise SpecCheckError(
-                f"{atom.attribute_name}: expected true or false, got {_shown(literal)}"
-            )
-        if atom.predicate in ORDERING_PREDICATES:
-            raise PredicateNotApplicableError(
-                f"{atom.attribute_name}: '{atom.predicate.value}' is not defined "
-                f"for a boolean attribute"
-            )
-    elif isinstance(kind, RealType):
-        if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-            raise SpecCheckError(
-                f"{atom.attribute_name}: expected a number, got {literal!r}"
-            )
-        if atom.predicate is Predicate.EQ:
-            warnings.warn(
-                f"{atom.attribute_name}: exact equality on a real-valued "
-                f"attribute is fragile",
-                RealEqualityWarning,
-                stacklevel=3,
-            )
-    else:  # IntType
-        if isinstance(literal, bool) or not isinstance(literal, int):
-            raise SpecCheckError(
-                f"{atom.attribute_name}: expected an integer, got {literal!r}"
-            )
+    # A bool is an int in Python, so only a bool attribute takes one.
+    if not isinstance(literal, accepted) or isinstance(literal, bool) and accepted is not bool:
+        raise SpecCheckError(f"{atom.attribute_name}: expected {noun}, got {_shown(literal)}")
+    if (
+        atom.predicate in ORDERING_PREDICATES
+        and unordered is not None
+        and not getattr(kind, "ordered", False)
+    ):
+        raise PredicateNotApplicableError(
+            f"{atom.attribute_name}: '{atom.predicate.value}' is not defined for {unordered}"
+        )
+    if isinstance(kind, RealType) and atom.predicate is Predicate.EQ:
+        warnings.warn(
+            f"{atom.attribute_name}: exact equality on a real-valued attribute is fragile",
+            RealEqualityWarning,
+            stacklevel=3,
+        )
 
     if not value_in_domain(attribute, literal):
         raise SpecCheckError(

@@ -53,11 +53,14 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _shown(value, show=repr) -> str:
-    """``show(value)``; Decimal writes an int past the 4300 digits str() stops at."""
+    """``show(value)``; Decimal writes an int past the 4300 digits str() stops
+    at, and anything else ``show`` cannot write is named by its type."""
     try:
         return show(value)
     except ValueError:
-        return format(Decimal(value), "f")
+        if isinstance(value, int):
+            return format(Decimal(value), "f")
+        return f"<{type(value).__name__}>"
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,6 @@ def domain_cardinality(taxonomy: Taxonomy) -> int | float:
     return total
 
 
-_TYPE_TAGS = {"enum", "bool", "real", "int"}
 _COMMON_KEYS = {"name", "type", "description"}
 _ALLOWED_KEYS = {
     "enum": _COMMON_KEYS | {"labels", "ordered"},
@@ -252,7 +254,7 @@ def _parse_attribute(entry, position: int) -> Attribute:
     if not isinstance(entry, dict):
         raise TaxonomyError(f"{where}: expected an object")
     tag = entry.get("type")
-    if tag not in _TYPE_TAGS:
+    if not isinstance(tag, str) or tag not in _ALLOWED_KEYS:
         raise TaxonomyError(f"{where}: unknown type tag {tag!r}")
     if "name" not in entry:
         raise TaxonomyError(f"{where}: missing name")

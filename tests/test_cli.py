@@ -513,6 +513,7 @@ _ATTRIBUTE = st.one_of(
         {"name": _NAMES, "type": st.sampled_from(["int", "real"])},
         optional={"min": _BOUNDS, "max": _BOUNDS, "unit": st.sampled_from(["kmh", None, 60])},
     ),
+    st.fixed_dictionaries({"name": _NAMES, "type": _JSON}),
     _JSON,
 )
 _TAXONOMY_DOCUMENT = st.one_of(

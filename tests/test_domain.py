@@ -424,42 +424,56 @@ def test_lod_stores_floats_and_a_tuple():
 
 
 HUGE = 10**5000  # past the 4300 digits str() and repr() write
+DIGITS = "0" * 5000  # how a refusal shows HUGE
 
 
 @pytest.mark.parametrize(
-    "refuse, error, pattern",
+    "refuse, error, pattern, shown",
     [
         pytest.param(
             lambda tax: make_lod(tax, {}, t=HUGE), LodError, "time must be a finite number",
-            id="time",
+            DIGITS, id="time",
         ),
         pytest.param(
             lambda tax: make_lod(tax, {}, x=-HUGE), LodError, "'x' must be a finite number",
-            id="coordinate",
+            DIGITS, id="coordinate",
         ),
         pytest.param(
             lambda tax: make_lod(tax, {"s": HUGE}), LodError, "outside the domain of attribute 's'",
-            id="real-value",
+            DIGITS, id="real-value",
         ),
         pytest.param(
             lambda tax: make_lod(tax, {"n": HUGE}), LodError, "outside the domain of attribute 'n'",
-            id="bounded-int-value",
+            DIGITS, id="bounded-int-value",
         ),
         pytest.param(
             lambda tax: check_spec(Atom("n", Predicate.EQ, HUGE), tax), SpecCheckError,
-            "n: literal .* is outside the attribute's domain", id="int-literal",
+            "n: literal .* is outside the attribute's domain", DIGITS, id="int-literal",
         ),
         pytest.param(
             lambda tax: check_spec(Atom("e", Predicate.EQ, HUGE), tax), SpecCheckError,
-            "e: expected an enum label", id="enum-literal",
+            "e: expected an enum label", DIGITS, id="enum-literal",
         ),
         pytest.param(
             lambda tax: check_spec(Atom("b", Predicate.EQ, HUGE), tax), SpecCheckError,
-            "b: expected true or false", id="bool-literal",
+            "b: expected true or false", DIGITS, id="bool-literal",
+        ),
+        # a container repr() cannot write is named by its type
+        pytest.param(
+            lambda tax: make_lod(tax, {"s": [HUGE]}), LodError,
+            "value <list> is outside the domain of attribute 's'", "<list>", id="list-value",
+        ),
+        pytest.param(
+            lambda tax: make_lod(tax, {"s": {"k": HUGE}}), LodError,
+            "value <dict> is outside the domain of attribute 's'", "<dict>", id="dict-value",
+        ),
+        pytest.param(
+            lambda tax: Lod(t=[HUGE], x=0.0, y=0.0, values=()), LodError,
+            "time must be a finite number, got <list>", "<list>", id="list-time",
         ),
     ],
 )
-def test_an_int_too_long_for_str_is_refused_with_the_package_error(refuse, error, pattern):
+def test_an_int_too_long_for_str_is_refused_with_the_package_error(refuse, error, pattern, shown):
     taxonomy = Taxonomy(
         (
             Attribute("s", RealType("kmh")),
@@ -470,7 +484,7 @@ def test_an_int_too_long_for_str_is_refused_with_the_package_error(refuse, error
     )
     with pytest.raises(error, match=pattern) as caught:
         refuse(taxonomy)
-    assert "0" * 5000 in str(caught.value)
+    assert shown in str(caught.value)
 
 
 @settings(max_examples=100, deadline=None)

@@ -83,6 +83,10 @@ def test_json_syntax_error_reports_position():
         ({"type": "bool"}, "missing name"),
         ({"name": "x", "type": "bool", "description": 5}, "description must be a string"),
         ({"name": "x", "type": "int", "min": "0"}, "bound '0' is not a number"),
+        ({"name": "x", "type": []}, "unknown type tag"),
+        ({"name": "x", "type": {}}, "unknown type tag"),
+        (1, "expected an object"),
+        ("x", "expected an object"),
     ],
 )
 def test_invalid_attribute_entries(entry, pattern):
