@@ -19,14 +19,7 @@ from .errors import OddspecError
 from .evaluator import count_odd, diagnose, enumerate_odd
 from .monitor import EventKind, monitor_init, monitor_step, render_report, report_from_state
 from .specdsl import WellFormedSpec, check_spec, parse_spec, render_value, serialize_spec
-from .taxonomy import (
-    BoolType,
-    EnumType,
-    IntType,
-    Taxonomy,
-    domain_cardinality,
-    parse_taxonomy,
-)
+from .taxonomy import _TAG_OF, _TYPE_TAGS, EnumType, Taxonomy, domain_cardinality, parse_taxonomy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,20 +52,16 @@ def _read(path: str) -> str:
 
 
 def _type_summary(attr_type) -> str:
+    tag = _TAG_OF[type(attr_type)]
     if isinstance(attr_type, EnumType):
         labels = ", ".join(attr_type.labels)
-        prefix = "ordered enum" if attr_type.ordered else "enum"
+        prefix = f"ordered {tag}" if attr_type.ordered else tag
         return f"{prefix}{{{labels}}}"
-    if isinstance(attr_type, BoolType):
-        return "bool"
-    name = "int" if isinstance(attr_type, IntType) else "real"
-    parts = [name]
-    if attr_type.unit is not None:
-        parts.append(attr_type.unit)
-    if attr_type.minimum is not None:
-        parts.append(f"min={render_value(attr_type.minimum)}")
-    if attr_type.maximum is not None:
-        parts.append(f"max={render_value(attr_type.maximum)}")
+    parts = [tag]
+    for key, field_name in _TYPE_TAGS[tag][1].items():
+        value = getattr(attr_type, field_name)
+        if value is not None:
+            parts.append(value if key == "unit" else f"{key}={render_value(value)}")
     return " ".join(parts)
 
 

@@ -17,6 +17,12 @@ The on-disk form is a JSON document::
     }
 
 Enums may carry ``"ordered": true`` to enable <, >, <=, >= on label order.
+
+The constructors of the data types, ``Attribute`` and ``Taxonomy`` are the one
+check of a declaration: ``parse_taxonomy`` only decodes the JSON shape and
+builds through them, so a parsed and a directly built taxonomy obey the same
+rules, and every taxonomy that constructs round-trips through
+``serialize_taxonomy`` and ``parse_taxonomy``.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ RESERVED_WORDS = frozenset({"and", "or", "not", "true", "false"})
 
 def _check_identifier(text: str, what: str) -> None:
     if not isinstance(text, str) or not IDENTIFIER_RE.match(text):
-        raise TaxonomyError(f"{what} {text!r} is not a valid identifier")
+        raise TaxonomyError(f"{what} {_shown(text)} is not a valid identifier")
     if text in RESERVED_WORDS:
-        raise TaxonomyError(f"{what} {text!r} is a reserved word")
+        raise TaxonomyError(f"{what} {_shown(text)} is a reserved word")
 
 
 # What a type's ``_accept`` returns for a value outside the type.
@@ -67,10 +73,15 @@ def _shown(value, show=repr) -> str:
 class EnumType:
     """Finite set of labels; unordered unless explicitly flagged."""
 
-    labels: tuple[str, ...]
+    # a tuple or list, stored as a tuple; None (the default) is refused
+    labels: tuple[str, ...] = None
     ordered: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.labels, (tuple, list)):
+            raise TaxonomyError("enum requires a list of labels")
+        if not isinstance(self.ordered, bool):
+            raise TaxonomyError("'ordered' must be a boolean")
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise TaxonomyError("enum must declare at least one label")
@@ -96,20 +107,21 @@ class BoolType:
 class RealType:
     """Real-valued attribute with a unit tag and optional inclusive bounds."""
 
-    unit: str
+    # required; None (the default) is refused
+    unit: str = None
     minimum: float | None = None
     maximum: float | None = None
 
     def __post_init__(self):
+        if self.unit is None:
+            raise TaxonomyError("real attribute requires a unit")
         _check_identifier(self.unit, "unit")
-        _check_bounds(self.minimum, self.maximum)
+        _check_bounds(self, integral=False)
 
     def _accept(self, value):
         """A finite number (not a ``bool``) within the bounds, as a ``float``."""
         if isinstance(value, (float, int)) and not isinstance(value, bool):
             low, high = self.minimum, self.maximum
-            # `not value < low` so that a nan bound, which only direct
-            # construction can give, rejects nothing
             if (
                 -_FLOAT_MAX <= value <= _FLOAT_MAX
                 and (low is None or not value < low)
@@ -130,7 +142,7 @@ class IntType:
     def __post_init__(self):
         if self.unit is not None:
             _check_identifier(self.unit, "unit")
-        _check_bounds(self.minimum, self.maximum)
+        _check_bounds(self, integral=True)
 
     def _accept(self, value):
         """An ``int`` (not a ``bool``) within the bounds, unchanged."""
@@ -141,12 +153,44 @@ class IntType:
         return _REJECT
 
 
-def _check_bounds(minimum, maximum) -> None:
-    if minimum is not None and maximum is not None and minimum > maximum:
-        raise TaxonomyError(f"lower bound {minimum} exceeds upper bound {maximum}")
+def _check_bounds(kind: RealType | IntType, integral: bool) -> None:
+    """Check each bound of ``kind`` and their order; store a real type's
+    bounds as floats."""
+    for field_name in ("minimum", "maximum"):
+        bound = getattr(kind, field_name)
+        if bound is None:
+            continue
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            raise TaxonomyError(f"bound {_shown(bound)} is not a number")
+        if integral:
+            if not isinstance(bound, int):
+                raise TaxonomyError(f"int bound {_shown(bound)} must be an integer")
+            try:
+                repr(bound)
+            except ValueError:  # past the int digit limit, which the JSON reader keeps too
+                raise TaxonomyError(f"int bound {_shown(bound)} is too long to write") from None
+        elif not abs(bound) <= _FLOAT_MAX:
+            raise TaxonomyError(f"bound {_shown(bound)} is not finite")
+        elif type(bound) is not float:
+            object.__setattr__(kind, field_name, float(bound))
+    low, high = kind.minimum, kind.maximum
+    if low is not None and high is not None and low > high:
+        raise TaxonomyError(f"lower bound {_shown(low)} exceeds upper bound {_shown(high)}")
 
 
 AttributeType = EnumType | BoolType | RealType | IntType
+
+# JSON type tag -> (data type class, JSON key -> constructor field). An entry
+# also holds "name" and "type", and may hold "description".
+_TYPE_TAGS = {
+    "enum": (EnumType, {"labels": "labels", "ordered": "ordered"}),
+    "bool": (BoolType, {}),
+    "real": (RealType, {"unit": "unit", "min": "minimum", "max": "maximum"}),
+    "int": (IntType, {"unit": "unit", "min": "minimum", "max": "maximum"}),
+}
+# data type class -> its tag; tag -> the keys an entry may hold
+_TAG_OF = {kind: tag for tag, (kind, _) in _TYPE_TAGS.items()}
+_KEYS_OF = {tag: {"name", "type", "description", *keys} for tag, (_, keys) in _TYPE_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -157,6 +201,10 @@ class Attribute:
 
     def __post_init__(self):
         _check_identifier(self.name, "attribute name")
+        if type(self.attr_type) not in _TAG_OF:
+            raise TaxonomyError(f"attribute type {_shown(self.attr_type)} is not a data type")
+        if self.description is not None and not isinstance(self.description, str):
+            raise TaxonomyError("description must be a string")
 
 
 @dataclass(frozen=True)
@@ -169,9 +217,15 @@ class Taxonomy:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.attributes, (tuple, list)):
+            raise TaxonomyError("attributes must be a tuple or list")
+        if not isinstance(self.version, str):
+            raise TaxonomyError("missing or non-string 'version'")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         index = {}
         for position, attribute in enumerate(self.attributes):
+            if not isinstance(attribute, Attribute):
+                raise TaxonomyError(f"{_shown(attribute)} is not an Attribute")
             if attribute.name in index:
                 raise TaxonomyError(f"duplicate attribute name {attribute.name!r}")
             index[attribute.name] = (position, attribute.attr_type._accept)
@@ -240,65 +294,28 @@ def domain_cardinality(taxonomy: Taxonomy) -> int | float:
     return total
 
 
-_COMMON_KEYS = {"name", "type", "description"}
-_ALLOWED_KEYS = {
-    "enum": _COMMON_KEYS | {"labels", "ordered"},
-    "bool": _COMMON_KEYS,
-    "real": _COMMON_KEYS | {"unit", "min", "max"},
-    "int": _COMMON_KEYS | {"unit", "min", "max"},
-}
-
-
 def _parse_attribute(entry, position: int) -> Attribute:
     where = f"attribute #{position + 1}"
     if not isinstance(entry, dict):
         raise TaxonomyError(f"{where}: expected an object")
     tag = entry.get("type")
-    if not isinstance(tag, str) or tag not in _ALLOWED_KEYS:
+    if not isinstance(tag, str) or tag not in _TYPE_TAGS:
         raise TaxonomyError(f"{where}: unknown type tag {tag!r}")
     if "name" not in entry:
         raise TaxonomyError(f"{where}: missing name")
-    extra = set(entry) - _ALLOWED_KEYS[tag]
+    extra = set(entry) - _KEYS_OF[tag]
     if extra:
         raise TaxonomyError(f"{where}: unexpected keys {sorted(extra)} for type {tag!r}")
-    description = entry.get("description")
-    if description is not None and not isinstance(description, str):
-        raise TaxonomyError(f"{where}: description must be a string")
-
-    if tag == "enum":
-        labels = entry.get("labels")
-        if not isinstance(labels, list):
-            raise TaxonomyError(f"{where}: enum requires a list of labels")
-        ordered = entry.get("ordered", False)
-        if not isinstance(ordered, bool):
-            raise TaxonomyError(f"{where}: 'ordered' must be a boolean")
-        attr_type: AttributeType = EnumType(tuple(labels), ordered=ordered)
-    elif tag == "bool":
-        attr_type = BoolType()
-    else:
-        real = tag == "real"
-        if real and "unit" not in entry:
-            raise TaxonomyError(f"{where}: real attribute requires a unit")
-        attr_type = (RealType if real else IntType)(
-            unit=entry.get("unit"),
-            minimum=_parse_bound(entry.get("min"), where, integral=not real),
-            maximum=_parse_bound(entry.get("max"), where, integral=not real),
-        )
-    return Attribute(name=entry["name"], attr_type=attr_type, description=description)
-
-
-def _parse_bound(raw, where: str, integral: bool):
-    if raw is None:
-        return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TaxonomyError(f"{where}: bound {raw!r} is not a number")
-    if integral:
-        if not isinstance(raw, int):
-            raise TaxonomyError(f"{where}: int bound {raw!r} must be an integer")
-        return raw
-    if not abs(raw) <= _FLOAT_MAX:
-        raise TaxonomyError(f"{where}: bound {raw!r} is not finite")
-    return float(raw)
+    kind, keys = _TYPE_TAGS[tag]
+    fields = {}
+    for key, field_name in keys.items():  # a loop, as a comprehension costs a call in 3.11
+        if key in entry:
+            fields[field_name] = entry[key]
+    try:
+        attr_type = kind(**fields)
+        return Attribute(entry["name"], attr_type, entry.get("description"))
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{where}: {exc}") from exc
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -319,14 +336,11 @@ def parse_taxonomy(text: str) -> Taxonomy:
     extra = set(document) - {"version", "attributes"}
     if extra:
         raise TaxonomyError(f"unexpected top-level keys {sorted(extra)}")
-    version = document.get("version")
-    if not isinstance(version, str):
-        raise TaxonomyError("missing or non-string 'version'")
     entries = document.get("attributes")
     if not isinstance(entries, list):
         raise TaxonomyError("missing 'attributes' list")
     attributes = [_parse_attribute(entry, i) for i, entry in enumerate(entries)]
-    return Taxonomy(attributes=tuple(attributes), version=version)
+    return Taxonomy(attributes, version=document.get("version"))
 
 
 def serialize_taxonomy(taxonomy: Taxonomy) -> str:
@@ -337,22 +351,13 @@ def serialize_taxonomy(taxonomy: Taxonomy) -> str:
     entries = []
     for attribute in taxonomy.attributes:
         kind = attribute.attr_type
-        entry: dict = {"name": attribute.name}
-        if isinstance(kind, EnumType):
-            entry["type"] = "enum"
-            entry["labels"] = list(kind.labels)
-            if kind.ordered:
-                entry["ordered"] = True
-        elif isinstance(kind, BoolType):
-            entry["type"] = "bool"
-        else:
-            entry["type"] = "real" if isinstance(kind, RealType) else "int"
-            if kind.unit is not None:
-                entry["unit"] = kind.unit
-            if kind.minimum is not None:
-                entry["min"] = kind.minimum
-            if kind.maximum is not None:
-                entry["max"] = kind.maximum
+        tag = _TAG_OF[type(kind)]
+        entry: dict = {"name": attribute.name, "type": tag}
+        for key, field_name in _TYPE_TAGS[tag][1].items():
+            value = getattr(kind, field_name)
+            # a field at its default (no bound, no unit, unordered) is left out
+            if value is not None and value is not False:
+                entry[key] = value
         if attribute.description is not None:
             entry["description"] = attribute.description
         entries.append(entry)

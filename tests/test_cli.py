@@ -80,6 +80,37 @@ class TestGoldenOutputs:
         }
         assert len(lines) == 6
 
+    def test_validate_writes_every_type_form(self, tmp_path):
+        taxonomy = tmp_path / "forms.json"
+        taxonomy.write_text(json.dumps({"version": "forms-1", "attributes": [
+            {"name": "road_type", "type": "enum", "labels": ["motorway", "rural"]},
+            {"name": "visibility", "type": "enum", "labels": ["poor", "good"], "ordered": True},
+            {"name": "wet", "type": "bool"},
+            {"name": "speed_limit", "type": "int", "unit": "kmh", "min": 30, "max": 130},
+            {"name": "count", "type": "int"},
+            {"name": "floor", "type": "int", "max": -2},
+            {"name": "speed", "type": "real", "unit": "kmh", "min": 0},
+            {"name": "gradient", "type": "real", "unit": "pct", "min": -15.0, "max": 15.5},
+            {"name": "ceiling", "type": "real", "unit": "m", "max": 2.5},
+        ]}))
+        result = run_cli("validate", "--taxonomy", str(taxonomy))
+        assert result.returncode == 0
+        assert result.stdout == (
+            "version: forms-1\n"
+            "attributes: 9\n"
+            "  road_type: enum{motorway, rural}\n"
+            "  visibility: ordered enum{poor, good}\n"
+            "  wet: bool\n"
+            "  speed_limit: int kmh min=30 max=130\n"
+            "  count: int\n"
+            "  floor: int max=-2\n"
+            "  speed: real kmh min=0.0\n"
+            "  gradient: real pct min=-15.0 max=15.5\n"
+            "  ceiling: real m max=2.5\n"
+            "cardinality: infinite\n"
+        )
+        assert result.stderr == ""
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self):

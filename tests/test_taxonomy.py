@@ -5,7 +5,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddspec import (
@@ -91,8 +91,10 @@ def test_json_syntax_error_reports_position():
 )
 def test_invalid_attribute_entries(entry, pattern):
     doc = json.dumps({"version": "1", "attributes": [entry]})
-    with pytest.raises(TaxonomyError, match=pattern):
+    with pytest.raises(TaxonomyError, match=pattern) as refused:
         parse_taxonomy(doc)
+    # a constructor's refusal names the entry too
+    assert str(refused.value).startswith("attribute #1: ")
 
 
 def test_out_of_range_numbers():
@@ -126,6 +128,96 @@ def test_direct_construction_enforces_invariants():
         Attribute("BadName", BoolType())
     with pytest.raises(TaxonomyError):
         Taxonomy((Attribute("a", BoolType()), Attribute("a", BoolType())))
+
+
+@pytest.mark.parametrize(
+    "build, pattern",
+    [
+        (lambda: IntType(minimum=0.5, maximum=2.5), r"int bound 0\.5 must be an integer"),
+        (lambda: IntType(maximum=True), "bound True is not a number"),
+        (lambda: IntType(maximum=10**5000), "too long to write"),
+        (lambda: RealType("kmh", minimum=math.nan, maximum=10.0), "bound nan is not finite"),
+        (lambda: RealType("kmh", maximum=-math.inf), "bound -inf is not finite"),
+        (lambda: RealType("kmh", maximum=10**400), "not finite"),
+        (lambda: RealType("kmh", minimum="0"), "bound '0' is not a number"),
+        (lambda: RealType(), "real attribute requires a unit"),
+        (lambda: EnumType(("a",), ordered="yes"), "'ordered' must be a boolean"),
+        (lambda: EnumType("ab"), "requires a list of labels"),
+        (lambda: Attribute("a", BoolType(), description=5), "description must be a string"),
+        (lambda: Attribute("a", "bool"), "attribute type 'bool' is not a data type"),
+        (lambda: Taxonomy((), version=3), "non-string 'version'"),
+        (lambda: Taxonomy((), version=["x"]), "non-string 'version'"),
+        (lambda: Taxonomy(["a"]), "'a' is not an Attribute"),
+        (lambda: Taxonomy(None), "tuple or list"),
+    ],
+)
+def test_direct_construction_checks_what_parsing_checks(build, pattern):
+    with pytest.raises(TaxonomyError, match=pattern):
+        build()
+
+
+def test_real_bounds_are_stored_as_floats():
+    speed = RealType("kmh", minimum=0, maximum=130)
+    assert (type(speed.minimum), type(speed.maximum)) == (float, float)
+    assert speed == RealType("kmh", minimum=0.0, maximum=130.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EnumType((10**5000,)),
+        lambda: Attribute(10**5000, BoolType()),
+        lambda: IntType(unit=10**5000),
+        lambda: IntType(minimum=10**5000, maximum=0),
+    ],
+    ids=["enum label", "attribute name", "unit", "bound"],
+)
+def test_a_refused_int_past_the_digit_limit_is_written_out(build):
+    with pytest.raises(TaxonomyError, match="1" + "0" * 5000):
+        build()
+
+
+# Field values of every kind a constructor may be given. A field is drawn
+# from these about one time in eight, and from values that fit it otherwise,
+# so that about a third of the builds succeed and round-trip.
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**5000, -(10**5000)]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.sampled_from(["a", "b", "true"]), st.integers()), max_size=3),
+)
+_IDENTIFIERS = st.sampled_from(["a", "b", "kmh", "lane_count"])
+_NUMBERS = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+_FIELDS = {
+    EnumType: (st.lists(_IDENTIFIERS, min_size=1, max_size=3, unique=True), st.booleans()),
+    BoolType: (),
+    RealType: (_IDENTIFIERS, _NUMBERS, _NUMBERS),
+    IntType: (st.one_of(st.none(), _IDENTIFIERS), _NUMBERS, _NUMBERS),
+}
+
+
+def _either(fitting):
+    return st.integers(0, 7).flatmap(lambda draw: _ANY_VALUE if draw == 0 else fitting)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_taxonomy_that_constructs_round_trips(data):
+    kind = data.draw(st.sampled_from(list(_FIELDS)))
+    try:
+        attr_type = kind(*(data.draw(_either(fitting)) for fitting in _FIELDS[kind]))
+        attribute = Attribute(
+            data.draw(_either(_IDENTIFIERS)),
+            data.draw(_either(st.just(attr_type))),
+            data.draw(_either(st.text(max_size=4))),
+        )
+        taxonomy = Taxonomy(data.draw(_either(st.just([attribute]))), data.draw(_either(st.text())))
+    except TaxonomyError:
+        return
+    assert parse_taxonomy(serialize_taxonomy(taxonomy)) == taxonomy
 
 
 class TestValueInDomain:
