@@ -230,7 +230,12 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    ranks = _verdicts(spec.probes, lod.values)
+    return _diagnosis(spec, _verdicts(spec.probes, lod.values))
+
+
+def _diagnosis(spec: WellFormedSpec, ranks: list[int]) -> Diagnosis:
+    """The diagnosis of a sample whose atom ranks are ``ranks``: it depends
+    on nothing else."""
     falsified, unknown = [], []
     for atom, rank, blamed in zip(spec.atoms, ranks, spec.blame):
         if rank == 0 and blamed:

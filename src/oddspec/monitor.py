@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .domain import Lod, Trace
 from .errors import MonitorError
-from .evaluator import Diagnosis, Verdict, diagnose
+from .evaluator import Diagnosis, Verdict, _check_arity, _diagnosis, _verdicts
 from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import Taxonomy, _check_binding
 
@@ -60,7 +60,15 @@ _TRANSITIONS: dict[tuple[Verdict | None, Verdict], tuple[EventKind, ...]] = {
 
 @dataclass
 class MonitorState:
-    """Mutable fold state; owned by exactly one consumer at a time."""
+    """Mutable fold state; owned by exactly one consumer at a time.
+
+    A sample's diagnosis depends only on its atom ranks, so the fold keeps
+    the last sample's ranks (``last_ranks``) and ``Diagnosis``
+    (``last_diagnosis``), and reuses them while the ranks repeat.
+    ``pending`` counts the samples of that run not yet added to
+    ``atom_violations``, which therefore lags by the pending run until
+    ``report_from_state`` adds it: read violations from the report.
+    """
 
     spec: WellFormedSpec
     last_verdict: Verdict | None = None
@@ -68,6 +76,9 @@ class MonitorState:
     counts: dict[Verdict, int] = field(default_factory=lambda: dict.fromkeys(Verdict, 0))
     dwell: dict[Verdict, float] = field(default_factory=lambda: dict.fromkeys(Verdict, 0.0))
     atom_violations: dict[Atom, int] = field(default_factory=dict)
+    last_ranks: list[int] | None = None
+    last_diagnosis: Diagnosis | None = None
+    pending: int = 0
 
     @property
     def samples_total(self) -> int:
@@ -104,16 +115,31 @@ def monitor_step(
     """Consume one sample; return the verdict and any transition events.
 
     Dwell time attributes the interval from the previous sample to this
-    one to the PREVIOUS verdict (sample-and-hold).
+    one to the PREVIOUS verdict (sample-and-hold). A sample whose atom ranks
+    equal the previous sample's has the same diagnosis and verdict, hence
+    no events: it only extends the pending run.
 
     Raises:
         MonitorError: the sample's timestamp does not increase.
+        EvaluationError: the sample's arity does not match the taxonomy.
     """
     if state.last_t is not None and not cod.t > state.last_t:
         raise MonitorError(
             f"timestamp {cod.t} does not increase past {state.last_t}"
         )
-    report = diagnose(state.spec, cod)
+    spec = state.spec
+    _check_arity(cod, spec.taxonomy)
+    ranks = _verdicts(spec.probes, cod.values)
+    if ranks == state.last_ranks:
+        verdict = state.last_verdict
+        state.pending += 1
+        state.counts[verdict] += 1
+        state.dwell[verdict] += cod.t - state.last_t
+        state.last_t = cod.t
+        return state, verdict, []
+
+    _flush(state)
+    report = _diagnosis(spec, ranks)
     verdict = report.verdict
 
     if state.last_t is not None:
@@ -121,8 +147,6 @@ def monitor_step(
 
     sample_index = state.samples_total
     state.counts[verdict] += 1
-    for atom in report.falsified_atoms:
-        state.atom_violations[atom] += 1
 
     events = [
         MonitorEvent(kind=kind, t=cod.t, sample_index=sample_index, diagnosis=report)
@@ -130,7 +154,18 @@ def monitor_step(
     ]
     state.last_verdict = verdict
     state.last_t = cod.t
+    state.last_ranks = ranks
+    state.last_diagnosis = report
+    state.pending = 1
     return state, verdict, events
+
+
+def _flush(state: MonitorState) -> None:
+    """Add the pending run to ``atom_violations``; a second call adds nothing."""
+    if state.pending:
+        for atom in state.last_diagnosis.falsified_atoms:
+            state.atom_violations[atom] += state.pending
+        state.pending = 0
 
 
 def run_monitor(
@@ -159,12 +194,15 @@ def report_from_state(
 ) -> MonitorReport:
     """Assemble the report for a manually driven fold.
 
+    The fold may go on after it: the report counts every sample so far.
+
     Raises:
         MonitorError: the fold has consumed no sample.
     """
     total = state.samples_total
     if total == 0:
         raise MonitorError("trace has no samples")
+    _flush(state)
     return MonitorReport(
         samples_total=total,
         samples_in=state.counts[Verdict.TRUE],

@@ -10,12 +10,14 @@ from oddspec import (
     BoolType,
     EvaluationError,
     EventKind,
+    Lod,
     MonitorError,
     Predicate,
     Taxonomy,
     Trace,
     Verdict,
     check_spec,
+    diagnose,
     enumerate_odd,
     make_lod,
     monitor_init,
@@ -27,7 +29,14 @@ from oddspec import (
     report_json,
     run_monitor,
 )
-from oracles import simulate_monitor
+from oracles import (
+    SPEC_FAMILY,
+    eval_kleene,
+    label_orders_of,
+    random_spec,
+    simulate_monitor,
+    space_of,
+)
 
 FLAG_TAXONOMY = Taxonomy((Attribute("flag", BoolType()),), version="flag1")
 FLAG_ATOM = Atom("flag", Predicate.EQ, True)
@@ -341,3 +350,122 @@ class TestReportRendering:
     def test_json_round_trips_through_loads(self):
         text = report_json(run_letters("TUF"))
         assert json.loads(text)["samples"]["unknown"] == 1
+
+
+PAIR_TAXONOMY = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())), version="pair1")
+A_ATOM = Atom("a", Predicate.EQ, True)
+B_ATOM = Atom("b", Predicate.EQ, True)
+
+
+def fold(spec, samples, state=None):
+    """Step ``samples`` through ``state`` (a fresh one if None); returns the
+    state, the verdicts and the events."""
+    state = state if state is not None else monitor_init(spec, spec.taxonomy)
+    verdicts, events = [], []
+    for sample in samples:
+        _, verdict, step_events = monitor_step(state, sample)
+        verdicts.append(verdict)
+        events.extend(step_events)
+    return state, verdicts, events
+
+
+class TestRepeatedRanks:
+    """A sample whose atom ranks repeat the previous sample's reuses its
+    diagnosis; the counts must not show it."""
+
+    def test_alternating_ranks_under_a_steady_verdict(self):
+        # one disjunct true at a time: the ranks change on every sample and
+        # the verdict never does
+        spec = check_spec(parse_spec("a == true or b == true"), PAIR_TAXONOMY)
+        rows = [(True, False), (False, True)] * 3 + [(True, False)]
+        samples = [
+            make_lod(PAIR_TAXONOMY, {"a": a, "b": b}, t=float(i)) for i, (a, b) in enumerate(rows)
+        ]
+        state, verdicts, events = fold(spec, samples)
+        report = report_from_state(state, events)
+        assert verdicts == [Verdict.TRUE] * len(rows)
+        assert events_as_tuples(report) == [("entry", 0.0, 0)]
+        assert report.atom_violations == {
+            A_ATOM: sum(1 for a, _ in rows if not a),
+            B_ATOM: sum(1 for _, b in rows if not b),
+        }
+
+    def test_run_that_ends_the_trace_is_counted_whole(self):
+        report = run_letters("TF" + "F" * 40)
+        assert report.atom_violations == {FLAG_ATOM: 41}
+        assert report.samples_out == 41
+        assert events_as_tuples(report) == [("entry", 0.0, 0), ("exit", 1.0, 1)]
+
+    def test_report_twice_is_the_same_report(self):
+        state, _, events = fold(flag_spec(), trace_for("TFFFUUFF").samples)
+        first = report_from_state(state, events)
+        assert report_from_state(state, events) == first
+        assert first.atom_violations == {FLAG_ATOM: 5}
+
+    def test_report_mid_fold_then_more_steps(self):
+        letters = "TTFFFFUUFFFTT"
+        trace = trace_for(letters)
+        spec = flag_spec()
+        for cut in range(1, len(letters)):
+            state, _, events = fold(spec, trace.samples[:cut])
+            report_from_state(state, events)  # flushes the run pending at the cut
+            _, _, more = fold(spec, trace.samples[cut:], state)
+            assert report_from_state(state, events + more) == run_monitor(
+                spec, FLAG_TAXONOMY, trace
+            ), cut
+
+
+class TestChecksOnRepeatedRanks:
+    def test_wrong_arity_after_a_run_is_refused(self):
+        state, _, _ = fold(flag_spec(), trace_for("FFFF").samples)
+        with pytest.raises(EvaluationError, match="values"):
+            monitor_step(state, Lod(4.0, 0.0, 0.0, (False, False)))
+
+    def test_stale_timestamp_after_a_run_changes_nothing(self):
+        spec = flag_spec()
+        trace = trace_for("TFFF")
+        state, _, events = fold(spec, trace.samples)
+        counts, dwell, pending = dict(state.counts), dict(state.dwell), state.pending
+        with pytest.raises(MonitorError, match="increase"):
+            monitor_step(state, make_lod(FLAG_TAXONOMY, {"flag": False}, t=3.0))
+        assert (state.counts, state.dwell, state.pending) == (counts, dwell, pending)
+        tail = (make_lod(FLAG_TAXONOMY, {"flag": False}, t=4.0),)
+        _, _, more = fold(spec, tail, state)
+        whole = Trace(FLAG_TAXONOMY, trace.samples + tail)
+        assert report_from_state(state, events + more) == run_monitor(spec, FLAG_TAXONOMY, whole)
+
+
+class TestDifferentialReferee:
+    """Random partially measured traces over random specs: every verdict is
+    the truth-table referee's, every event carries the diagnosis of its own
+    sample, and the violation counts are the per-sample diagnoses summed."""
+
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_fold_agrees_with_per_sample_evaluation(self, taxonomy):
+        rng = random.Random(taxonomy.version)
+        orders = label_orders_of(taxonomy)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        for _ in range(6):
+            ast = random_spec(rng, taxonomy, 6)
+            spec = check_spec(ast, taxonomy)
+            # sticky rows: a changed attribute is the exception, so runs of
+            # equal ranks are common
+            row = {name: rng.choice(space) for name, space in spaces.items()}
+            rows = []
+            for _ in range(80):
+                if rng.random() < 0.3:
+                    name = rng.choice(list(spaces))
+                    row = dict(row, **{name: rng.choice(spaces[name])})
+                rows.append(row)
+            samples = [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
+            state, verdicts, events = fold(spec, samples)
+            report = report_from_state(state, events)
+
+            assert [v.value for v in verdicts] == [eval_kleene(ast, r, orders) for r in rows]
+            for event in events:
+                assert event.diagnosis == diagnose(spec, samples[event.sample_index])
+            expected = {}
+            for sample in samples:
+                for atom in diagnose(spec, sample).falsified_atoms:
+                    expected[atom] = expected.get(atom, 0) + 1
+            assert report.atom_violations == expected
