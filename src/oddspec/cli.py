@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 usage or I/O error; 2 validation error in a
 taxonomy, spec, or trace; 3 monitor run that detected at least one exit
-event under --fail-on-exit. Standard error carries diagnostics only.
+event under --fail-on-exit. Standard error carries diagnostics only. A
+reader that closes standard output early is not an error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def _lines(path: str) -> Iterator[str]:
 
 def _read(path: str) -> str:
     return "".join(_lines(path))
+
+
+def _drop_stdout() -> None:
+    """Point fd 1 at devnull once the reader of standard output has gone, so
+    that no later write, the interpreter's final flush included, fails."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _type_summary(attr_type) -> str:
@@ -98,14 +105,8 @@ def cmd_eval(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 
 def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
     tuples = enumerate_od(taxonomy) if spec is None else enumerate_odd(taxonomy, spec)
-    try:
-        for values in tuples:
-            print(",".join(render_value(v) for v in values))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # a reader of a listing may take any prefix; with fd 1 on devnull the
-        # interpreter's final flush of what is left cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for values in tuples:
+        print(",".join(render_value(v) for v in values))
     return 0
 
 
@@ -115,7 +116,11 @@ def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     for sample in iter_trace(_lines(args.trace), taxonomy):
         _, verdict, step_events = monitor_step(state, sample)
         events.extend(step_events)
-        print(f"t={render_value(sample.t)} verdict={verdict.value}")
+        try:
+            print(f"t={render_value(sample.t)} verdict={verdict.value}")
+        except BrokenPipeError:
+            # the status and the report describe the whole trace, so the fold goes on
+            _drop_stdout()
     report = report_from_state(state, events)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as file:
@@ -177,17 +182,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    status = 0
     try:
         # inputs load in one order for every command: taxonomy, spec, then its own
         taxonomy = parse_taxonomy(_read(args.taxonomy))
         spec = None if args.spec is None else check_spec(parse_spec(_read(args.spec)), taxonomy)
-        return args.func(args, taxonomy, spec)
+        status = args.func(args, taxonomy, spec)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader may take any prefix of the output, as `| head -3` does
+        _drop_stdout()
     except OddspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 def run() -> None:

@@ -38,6 +38,9 @@ class Verdict(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
+    # members are singletons compared by identity; Enum's own hash is Python code
+    __hash__ = object.__hash__
+
 
 _VERDICT = (Verdict.FALSE, Verdict.UNKNOWN, Verdict.TRUE)
 _RANK = {verdict: rank for rank, verdict in enumerate(_VERDICT)}

@@ -17,7 +17,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .domain import Lod, Trace
+from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
 from .evaluator import Diagnosis, Verdict, _check_arity, _diagnosis, _verdicts
 from .specdsl import Atom, WellFormedSpec, serialize_spec
@@ -64,7 +64,10 @@ class MonitorState:
 
     A sample's diagnosis depends only on its atom ranks, so the fold keeps
     the last sample's ranks (``last_ranks``) and ``Diagnosis``
-    (``last_diagnosis``), and reuses them while the ranks repeat.
+    (``last_diagnosis``), and reuses them while the ranks repeat. An atom's
+    rank depends only on its attribute's value, so the fold also keeps the
+    last sample's values tuple (``last_values``) and re-tests only the
+    atoms of the attributes whose value differs from it.
     ``pending`` counts the samples of that run not yet added to
     ``atom_violations``, which therefore lags by the pending run until
     ``report_from_state`` adds it: read violations from the report.
@@ -77,6 +80,7 @@ class MonitorState:
     dwell: dict[Verdict, float] = field(default_factory=lambda: dict.fromkeys(Verdict, 0.0))
     atom_violations: dict[Atom, int] = field(default_factory=dict)
     last_ranks: list[int] | None = None
+    last_values: tuple | None = None
     last_diagnosis: Diagnosis | None = None
     pending: int = 0
 
@@ -115,9 +119,12 @@ def monitor_step(
     """Consume one sample; return the verdict and any transition events.
 
     Dwell time attributes the interval from the previous sample to this
-    one to the PREVIOUS verdict (sample-and-hold). A sample whose atom ranks
-    equal the previous sample's has the same diagnosis and verdict, hence
-    no events: it only extends the pending run.
+    one to the PREVIOUS verdict (sample-and-hold). Only the atoms of the
+    attributes whose value is ``!=`` the previous sample's are tested
+    again: for the values a taxonomy holds, equal values pass the same
+    tests. A sample whose atom ranks equal the previous sample's has the
+    same diagnosis and verdict, hence no events: it only extends the
+    pending run. A refused sample leaves the state as it was.
 
     Raises:
         MonitorError: the sample's timestamp does not increase.
@@ -129,7 +136,18 @@ def monitor_step(
         )
     spec = state.spec
     _check_arity(cod, spec.taxonomy)
-    ranks = _verdicts(spec.probes, cod.values)
+    values, last_values = cod.values, state.last_values
+    if last_values is None:
+        ranks = _verdicts(spec.probes, values)
+    else:
+        ranks = last_ranks = state.last_ranks
+        for index, group in spec.groups:
+            if (value := values[index]) != last_values[index]:
+                if ranks is last_ranks:
+                    ranks = last_ranks.copy()
+                for atom_index, test, literal in group:
+                    ranks[atom_index] = 1 if value is UNKNOWN else 2 * test(literal, value)
+    state.last_values = values
     if ranks == state.last_ranks:
         verdict = state.last_verdict
         state.pending += 1

@@ -81,6 +81,7 @@ class And:
 SpecAst = Union[Atom, Not, And]
 
 Probe = tuple[int, Callable[[object, object], bool], object]
+Group = tuple[int, tuple[Probe, ...]]
 Plan = Union[int, tuple]
 
 
@@ -102,7 +103,10 @@ class WellFormedSpec:
     a measured value. ``plan`` is the tree over atom positions: an int is an
     atom, a 1-tuple negates its element and a 2-tuple conjoins its two;
     ``not not`` chains are folded away, so no 1-tuple holds another.
-    ``mentioned_attributes`` is derived from ``atoms``.
+    ``groups`` holds the probes again, by value index: one
+    ``(value index, ((atom index, test, literal), ...))`` per mentioned
+    attribute, in value-index order. ``mentioned_attributes`` is derived
+    from ``atoms``.
     """
 
     ast: SpecAst
@@ -111,6 +115,7 @@ class WellFormedSpec:
     blame: tuple[bool, ...] = field(compare=False, repr=False)
     probes: tuple[Probe, ...] = field(compare=False, repr=False)
     plan: Plan = field(compare=False, repr=False)
+    groups: tuple[Group, ...] = field(compare=False, repr=False)
 
     @property
     def mentioned_attributes(self) -> frozenset[str]:
@@ -433,6 +438,9 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
     # stacklevel names the caller of check_spec.
     for atom in found:
         probes.append(_check_atom(atom, taxonomy))
+    groups: dict[int, list] = {}
+    for atom_index, (index, test, literal) in enumerate(probes):
+        groups.setdefault(index, []).append((atom_index, test, literal))
     return WellFormedSpec(
         ast=ast,
         taxonomy=taxonomy,
@@ -440,6 +448,7 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         blame=tuple(blame),
         probes=tuple(probes),
         plan=plan,
+        groups=tuple((index, tuple(members)) for index, members in sorted(groups.items())),
     )
 
 
@@ -461,7 +470,9 @@ def render_value(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite literal {value!r} has no syntax")
-        text = format(Decimal(repr(value)), "f")
+        text = repr(value)
+        if "e" in text:
+            text = format(Decimal(text), "f")
         if "." not in text:
             text += ".0"
         return text

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddspec import OddspecError, TraceError, check_spec, eval_spec, parse_spec, parse_taxonomy, parse_trace, render_value
+from oddspec import (
+    OddspecError,
+    TraceError,
+    check_spec,
+    eval_spec,
+    parse_spec,
+    parse_taxonomy,
+    parse_trace,
+    render_value,
+    report_json,
+    run_monitor,
+)
 from oddspec.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -243,27 +255,61 @@ class TestExitCodes:
         assert returncode == 0
         assert stderr == ""
 
-    def test_monitor_into_a_closed_pipe_fails(self, tmp_path):
+    def test_monitor_into_a_closed_pipe_folds_the_whole_trace(self, tmp_path):
         # the exit status and the report depend on the whole trace, so a
-        # monitor cut short must not claim success
-        trace = "".join(
-            '{"t": %d, "x": 0, "y": 0, "values": {"road_type": "rural"}}\n' % t
-            for t in range(20_000)
-        )
+        # monitor whose reader has gone goes on folding to the end
+        records = [
+            '{"t": %d, "x": 0, "y": 0, "values": {"road_type": "rural"}}' % t for t in range(20_000)
+        ]
+        report = tmp_path / "report.json"
         argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,
-                "--spec", SPEC, "--trace", "-"]
+                "--spec", SPEC, "--trace", "-", "--report", str(report), "--fail-on-exit"]
         with subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         ) as child:
             child.stdout.close()
             try:
-                _, stderr = child.communicate(trace, timeout=60)
+                _, stderr = child.communicate("\n".join(records) + "\n", timeout=60)
             except subprocess.TimeoutExpired:
                 child.kill()
                 raise
-        assert child.returncode == 1
-        assert stderr.startswith("error: [Errno 32] Broken pipe\n")
+        assert child.returncode == 3
+        assert stderr == ""
+        taxonomy = parse_taxonomy(Path(TAXONOMY).read_text())
+        spec = check_spec(parse_spec(Path(SPEC).read_text()), taxonomy)
+        trace = parse_trace("\n".join(records), taxonomy)
+        assert report.read_text() == report_json(run_monitor(spec, taxonomy, trace))
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(argv, 0) for argv, _ in GOLDEN_CASES]
+        + [(["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", TRACE,
+             "--fail-on-exit"], 3)],
+        ids=[golden.removesuffix(".txt") for _, golden in GOLDEN_CASES] + ["monitor-fail-on-exit"],
+    )
+    def test_a_closed_stdout_is_not_an_error(self, tmp_path, argv, status, unbuffered):
+        # the reader closes the pipe before the child writes its first byte
+        report = tmp_path / "report.json"
+        if argv[0] == "monitor":
+            argv = [*argv, "--report", str(report)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "oddspec", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == status
+        assert result.stderr == b""
+        if argv[0] == "monitor":
+            assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
 
     def test_monitor_reads_the_trace_from_stdin(self, tmp_path):
         argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,

@@ -8,6 +8,7 @@ from oddspec import (
     Atom,
     Attribute,
     BoolType,
+    IntType,
     EvaluationError,
     EventKind,
     Lod,
@@ -435,10 +436,27 @@ class TestChecksOnRepeatedRanks:
         assert report_from_state(state, events + more) == run_monitor(spec, FLAG_TAXONOMY, whole)
 
 
+def _assert_fold_agrees(ast, spec, rows, orders):
+    """Fold the samples of ``rows``: every verdict is the truth-table
+    referee's, every event carries the diagnosis of its own sample, and the
+    violation counts are the per-sample diagnoses summed."""
+    samples = [make_lod(spec.taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
+    state, verdicts, events = fold(spec, samples)
+    report = report_from_state(state, events)
+
+    assert [v.value for v in verdicts] == [eval_kleene(ast, r, orders) for r in rows]
+    for event in events:
+        assert event.diagnosis == diagnose(spec, samples[event.sample_index])
+    expected = {}
+    for sample in samples:
+        for atom in diagnose(spec, sample).falsified_atoms:
+            expected[atom] = expected.get(atom, 0) + 1
+    assert report.atom_violations == expected
+
+
 class TestDifferentialReferee:
-    """Random partially measured traces over random specs: every verdict is
-    the truth-table referee's, every event carries the diagnosis of its own
-    sample, and the violation counts are the per-sample diagnoses summed."""
+    """Random partially measured traces over random specs, folded as
+    ``_assert_fold_agrees`` checks."""
 
     @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
     def test_fold_agrees_with_per_sample_evaluation(self, taxonomy):
@@ -457,15 +475,79 @@ class TestDifferentialReferee:
                     name = rng.choice(list(spaces))
                     row = dict(row, **{name: rng.choice(spaces[name])})
                 rows.append(row)
-            samples = [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
-            state, verdicts, events = fold(spec, samples)
-            report = report_from_state(state, events)
+            _assert_fold_agrees(ast, spec, rows, orders)
 
-            assert [v.value for v in verdicts] == [eval_kleene(ast, r, orders) for r in rows]
-            for event in events:
-                assert event.diagnosis == diagnose(spec, samples[event.sample_index])
-            expected = {}
-            for sample in samples:
-                for atom in diagnose(spec, sample).falsified_atoms:
-                    expected[atom] = expected.get(atom, 0) + 1
-            assert report.atom_violations == expected
+
+def _with_spare(taxonomy):
+    """``taxonomy`` with one more attribute, which no spec over it mentions."""
+    spare = Attribute("spare", IntType(minimum=0, maximum=3))
+    return Taxonomy(taxonomy.attributes + (spare,), version=taxonomy.version + "+spare")
+
+
+def _changing_rows(rng, spaces, steps):
+    """Value maps in which each step changes a random subset of the
+    attributes, often several at once: a measured value may become None
+    (unmeasured) and back, and about one step in five changes nothing."""
+    row = {name: rng.choice(space) for name, space in spaces.items()}
+    rows = [row]
+    for _ in range(steps - 1):
+        row = dict(row)
+        if rng.random() >= 0.2:
+            for name in rng.sample(list(spaces), rng.randint(1, len(spaces))):
+                if rng.random() < 0.3:
+                    row[name] = rng.choice(spaces[name][:-1]) if row[name] is None else None
+                else:
+                    row[name] = rng.choice(spaces[name])
+        rows.append(row)
+    return rows
+
+
+class TestChangedAttributes:
+    """A step re-tests only the atoms of the attributes whose value changed;
+    every answer must still be the one a full evaluation of the sample gives."""
+
+    @pytest.mark.parametrize("base", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_fold_agrees_with_per_sample_evaluation(self, base):
+        taxonomy = _with_spare(base)
+        rng = random.Random("changed " + base.version)
+        orders = label_orders_of(taxonomy)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        for _ in range(6):
+            ast = random_spec(rng, base, 6)
+            spec = check_spec(ast, taxonomy)
+            rows = _changing_rows(rng, spaces, 120)
+            _assert_fold_agrees(ast, spec, rows, orders)
+
+    @pytest.mark.parametrize("base", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_refused_steps_change_nothing(self, base):
+        taxonomy = _with_spare(base)
+        rng = random.Random("refused " + base.version)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        spec = check_spec(random_spec(rng, base, 6), taxonomy)
+        rows = _changing_rows(rng, spaces, 40)
+        samples = [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
+        state, _, _ = fold(spec, samples)
+        last_values, last_ranks = state.last_values, list(state.last_ranks)
+        changed = make_lod(taxonomy, _changing_rows(rng, spaces, 2)[1], t=float(len(rows) - 1))
+        with pytest.raises(MonitorError, match="increase"):
+            monitor_step(state, changed)
+        with pytest.raises(EvaluationError, match="values"):
+            monitor_step(state, Lod(float(len(rows)), 0.0, 0.0, changed.values[:-1]))
+        assert state.last_values is last_values
+        assert state.last_ranks == last_ranks
+
+    def test_a_test_that_raises_commits_nothing(self):
+        taxonomy = Taxonomy(
+            (Attribute("count", IntType(minimum=0, maximum=4)), Attribute("flag", BoolType())),
+            version="count1",
+        )
+        spec = check_spec(parse_spec("flag == true and count < 3"), taxonomy)
+        samples = [make_lod(taxonomy, {"count": 1, "flag": True}, t=0.0)]
+        state, _, _ = fold(spec, samples)
+        snapshot = (state.last_values, list(state.last_ranks), state.last_t, dict(state.counts))
+        # a sample not built from the taxonomy: its count cannot be ordered
+        with pytest.raises(TypeError):
+            monitor_step(state, Lod(1.0, 0.0, 0.0, ("many", False)))
+        assert (state.last_values, state.last_ranks, state.last_t, state.counts) == snapshot
+        _, verdict, _ = monitor_step(state, make_lod(taxonomy, {"count": 1, "flag": False}, t=2.0))
+        assert verdict is Verdict.FALSE

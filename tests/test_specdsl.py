@@ -1,8 +1,10 @@
 import dataclasses
 import random
+import sys
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddspec import (
@@ -312,6 +314,21 @@ class TestPlan:
         assert mixed.plan == ((0, 1),)
         assert mixed.blame == (False, False)
 
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_groups_hold_each_probe_once_by_value_index(self, taxonomy):
+        rng = random.Random("groups " + taxonomy.version)
+        for _ in range(10):
+            spec = check_spec(random_spec(rng, taxonomy, 6), taxonomy)
+            indices = [index for index, _ in spec.groups]
+            assert indices == sorted({index for index, *_ in spec.probes})
+            members = sorted(
+                (atom_index, (index, test, literal))
+                for index, group in spec.groups
+                for atom_index, test, literal in group
+            )
+            assert [atom_index for atom_index, _ in members] == list(range(len(spec.probes)))
+            assert tuple(probe for _, probe in members) == spec.probes
+
 
 class TestAtoms:
     def test_occurrence_order(self):
@@ -378,6 +395,17 @@ class TestSerialize:
     def test_unsupported_literal_has_no_syntax(self):
         with pytest.raises(ValueError, match="unsupported literal"):
             render_value(object())
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(sys.float_info.max)
+    @example(1e16)
+    @example(1e-5)
+    def test_float_rendering_is_the_positional_decimal(self, value):
+        # a float is written by its repr unless that has an exponent
+        text = format(Decimal(repr(value)), "f")
+        assert render_value(value) == (text if "." in text else text + ".0")
 
 
 IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
