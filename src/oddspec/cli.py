@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 usage or I/O error; 2 validation error in a
 taxonomy, spec, or trace; 3 monitor run that detected at least one exit
-event under --fail-on-exit. Standard error carries diagnostics only. A
-reader that closes standard output early is not an error.
+event under --fail-on-exit. Standard error carries diagnostics only: a
+warning on the spec is one ``warning:`` line and leaves the exit code as
+it is. A reader that closes standard output early is not an error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Iterator
 
 from .domain import enumerate_od, iter_trace, parse_lod
@@ -186,7 +188,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # inputs load in one order for every command: taxonomy, spec, then its own
         taxonomy = parse_taxonomy(_read(args.taxonomy))
-        spec = None if args.spec is None else check_spec(parse_spec(_read(args.spec)), taxonomy)
+        # a warning on the spec is one diagnostic line, whatever the interpreter's filters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = None if args.spec is None else check_spec(parse_spec(_read(args.spec)), taxonomy)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         status = args.func(args, taxonomy, spec)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .domain import UNKNOWN, AttributeValue, Lod, _product, value_spaces
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     SpecCheckError,
     UnknownValueError,
 )
-from .specdsl import Atom, Plan, Probe, WellFormedSpec, _check_atom
+from .specdsl import Atom, Group, Plan, WellFormedSpec, _check_atom
 from .taxonomy import Taxonomy, _check_binding, _type_cardinality
 
 
@@ -77,13 +77,25 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
         )
 
 
-def _verdicts(probes: Iterable[Probe], values: Sequence[AttributeValue]) -> list[int]:
-    """One rank per probe: 1 (Unknown) for an unmeasured value, else 2 or 0
-    as the probe's test holds on the value or not."""
-    return [
-        1 if (value := values[index]) is UNKNOWN else 2 * test(literal, value)
-        for index, test, literal in probes
-    ]
+def _retest(groups: Sequence[Group], values, last_values, last_ranks: list[int]) -> list[int]:
+    """The atom ranks on ``values``, given ``last_ranks`` on ``last_values``:
+    the atoms of each position whose value is ``!=`` the last are tested
+    again, 1 (Unknown) on an unmeasured value, else 2 or 0 as the test holds.
+    ``last_ranks`` is copied before the first write, or returned as it is."""
+    ranks = last_ranks
+    for index, group in groups:
+        if (value := values[index]) != last_values[index]:
+            if ranks is last_ranks:
+                ranks = last_ranks.copy()
+            for atom_index, test, literal in group:
+                ranks[atom_index] = 1 if value is UNKNOWN else 2 * test(literal, value)
+    return ranks
+
+
+def _ranks(groups: Sequence[Group], size: int, values: Sequence) -> list[int]:
+    """The ranks of ``size`` atoms on ``values``, from the all-Unknown row:
+    every atom has rank 1 there, and only the measured positions differ."""
+    return _retest(groups, values, (UNKNOWN,) * len(values), [1] * size)
 
 
 def _fold(plan: Plan, ranks: list[int]) -> int:
@@ -113,14 +125,14 @@ def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
     """
     _check_arity(lod, taxonomy)
     try:
-        probe = _check_atom(atom, taxonomy)
+        index, test, literal = _check_atom(atom, taxonomy)
     except PredicateNotApplicableError:
         raise
     except SpecCheckError as exc:
         raise EvaluationError(
             f"cannot compare: {exc}; was the spec checked against this taxonomy?"
         ) from None
-    return _VERDICT[_verdicts((probe,), lod.values)[0]]
+    return _VERDICT[_ranks(((index, ((0, test, literal),)),), 1, lod.values)[0]]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
@@ -131,7 +143,7 @@ def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
     checked, its values are trusted.
     """
     _check_arity(lod, spec.taxonomy)
-    return _VERDICT[_fold(spec.plan, _verdicts(spec.probes, lod.values))]
+    return _VERDICT[_fold(spec.plan, _ranks(spec.groups, len(spec.atoms), lod.values))]
 
 
 def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
@@ -142,7 +154,7 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
             then undefined, not false.
     """
     _check_arity(lod, spec.taxonomy)
-    ranks = _verdicts(spec.probes, lod.values)
+    ranks = _ranks(spec.groups, len(spec.atoms), lod.values)
     if 1 in ranks:
         name = spec.atoms[ranks.index(1)].attribute_name
         raise UnknownValueError(f"attribute {name!r} is unmeasured; membership is undefined")
@@ -167,8 +179,9 @@ def _admitting_prefixes(
     descends past the last of them. The walk is a loop over a stack of
     value iterators, one per assigned position, never a recursion.
     """
-    probes, plan = spec.probes, spec.plan
+    groups, plan = spec.groups, spec.plan
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
+    unknown, ones = tuple(values), [1] * len(spec.atoms)
     # a checked spec has an atom, so spaces is not empty and the root is Unknown
     stack = [iter(spaces[order[0]])]
     while stack:
@@ -176,7 +189,7 @@ def _admitting_prefixes(
         position = order[depth - 1]
         for value in stack[-1]:
             values[position] = value
-            rank = _fold(plan, _verdicts(probes, values))
+            rank = _fold(plan, _retest(groups, values, unknown, ones))
             if rank == 2:
                 yield values, depth
             elif rank == 1:
@@ -224,8 +237,8 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
     spaces = value_spaces(taxonomy)
-    mentioned = {index for index, *_ in spec.probes}
-    order = sorted(mentioned) + [index for index, _ in enumerate(spaces) if index not in mentioned]
+    mentioned = [index for index, _ in spec.groups]
+    order = mentioned + [index for index in range(len(spaces)) if index not in mentioned]
     sizes = [_type_cardinality(taxonomy.attributes[index].attr_type) for index in order]
     return sum(math.prod(sizes[depth:]) for _, depth in _admitting_prefixes(spec, spaces, order))
 
@@ -233,7 +246,7 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    return _diagnosis(spec, _verdicts(spec.probes, lod.values))
+    return _diagnosis(spec, _ranks(spec.groups, len(spec.atoms), lod.values))
 
 
 def _diagnosis(spec: WellFormedSpec, ranks: list[int]) -> Diagnosis:

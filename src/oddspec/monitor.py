@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
-from .evaluator import Diagnosis, Verdict, _check_arity, _diagnosis, _verdicts
+from .evaluator import Diagnosis, Verdict, _check_arity, _diagnosis, _retest
 from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import Taxonomy, _check_binding
 
@@ -60,14 +60,17 @@ _TRANSITIONS: dict[tuple[Verdict | None, Verdict], tuple[EventKind, ...]] = {
 
 @dataclass
 class MonitorState:
-    """Mutable fold state; owned by exactly one consumer at a time.
+    """Mutable fold state, built by ``monitor_init``; owned by exactly one
+    consumer at a time.
 
     A sample's diagnosis depends only on its atom ranks, so the fold keeps
     the last sample's ranks (``last_ranks``) and ``Diagnosis``
     (``last_diagnosis``), and reuses them while the ranks repeat. An atom's
     rank depends only on its attribute's value, so the fold also keeps the
     last sample's values tuple (``last_values``) and re-tests only the
-    atoms of the attributes whose value differs from it.
+    atoms of the attributes whose value differs from it. ``monitor_init``
+    seeds both with the all-Unknown row (every atom rank 1), so the first
+    sample takes the same path as every later one.
     ``pending`` counts the samples of that run not yet added to
     ``atom_violations``, which therefore lags by the pending run until
     ``report_from_state`` adds it: read violations from the report.
@@ -110,7 +113,10 @@ def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
             equal to ``taxonomy`` (attributes, order, types and version).
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", MonitorError)
-    return MonitorState(spec=spec, atom_violations=dict.fromkeys(spec.atoms, 0))
+    return MonitorState(
+        spec, atom_violations=dict.fromkeys(spec.atoms, 0),
+        last_ranks=[1] * len(spec.atoms), last_values=(UNKNOWN,) * len(taxonomy),
+    )
 
 
 def monitor_step(
@@ -136,19 +142,9 @@ def monitor_step(
         )
     spec = state.spec
     _check_arity(cod, spec.taxonomy)
-    values, last_values = cod.values, state.last_values
-    if last_values is None:
-        ranks = _verdicts(spec.probes, values)
-    else:
-        ranks = last_ranks = state.last_ranks
-        for index, group in spec.groups:
-            if (value := values[index]) != last_values[index]:
-                if ranks is last_ranks:
-                    ranks = last_ranks.copy()
-                for atom_index, test, literal in group:
-                    ranks[atom_index] = 1 if value is UNKNOWN else 2 * test(literal, value)
-    state.last_values = values
-    if ranks == state.last_ranks:
+    ranks = _retest(spec.groups, cod.values, state.last_values, state.last_ranks)
+    state.last_values = cod.values
+    if ranks == state.last_ranks and state.last_verdict is not None:
         verdict = state.last_verdict
         state.pending += 1
         state.counts[verdict] += 1

@@ -80,8 +80,9 @@ class And:
 
 SpecAst = Union[Atom, Not, And]
 
-Probe = tuple[int, Callable[[object, object], bool], object]
-Group = tuple[int, tuple[Probe, ...]]
+Test = Callable[[object, object], bool]
+Probe = tuple[int, Test, object]  # (value index, test, literal)
+Group = tuple[int, tuple[tuple[int, Test, object], ...]]  # see WellFormedSpec.groups
 Plan = Union[int, tuple]
 
 
@@ -98,22 +99,20 @@ class WellFormedSpec:
 
     ``check_spec`` compiles the tree once. ``atoms`` are the distinct atoms
     in first-occurrence order; ``blame[i]`` is true when atom ``i`` occurs
-    under an even number of negations. ``probes[i]`` is atom ``i``'s
-    ``(value index, test, literal)``, ``test(literal, value)`` its truth on
-    a measured value. ``plan`` is the tree over atom positions: an int is an
-    atom, a 1-tuple negates its element and a 2-tuple conjoins its two;
-    ``not not`` chains are folded away, so no 1-tuple holds another.
-    ``groups`` holds the probes again, by value index: one
-    ``(value index, ((atom index, test, literal), ...))`` per mentioned
-    attribute, in value-index order. ``mentioned_attributes`` is derived
-    from ``atoms``.
+    under an even number of negations. ``plan`` is the tree over atom
+    positions: an int is an atom, a 1-tuple negates its element and a
+    2-tuple conjoins its two; ``not not`` chains are folded away, so no
+    1-tuple holds another. ``groups`` is the one table of compiled atom
+    tests: one ``(value index, ((atom index, test, literal), ...))`` per
+    mentioned attribute, in value-index order, where ``test(literal,
+    value)`` is the atom's truth on a measured value.
+    ``mentioned_attributes`` is derived from ``atoms``.
     """
 
     ast: SpecAst
     taxonomy: Taxonomy
     atoms: tuple[Atom, ...] = field(compare=False, repr=False)
     blame: tuple[bool, ...] = field(compare=False, repr=False)
-    probes: tuple[Probe, ...] = field(compare=False, repr=False)
     plan: Plan = field(compare=False, repr=False)
     groups: tuple[Group, ...] = field(compare=False, repr=False)
 
@@ -433,20 +432,17 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
             defined order.
     """
     found, blame, plan = _compile(ast)
-    probes = []
+    groups: dict[int, list] = {}
     # A plain loop, not a generator, so that RealEqualityWarning's
     # stacklevel names the caller of check_spec.
-    for atom in found:
-        probes.append(_check_atom(atom, taxonomy))
-    groups: dict[int, list] = {}
-    for atom_index, (index, test, literal) in enumerate(probes):
+    for atom_index, atom in enumerate(found):
+        index, test, literal = _check_atom(atom, taxonomy)
         groups.setdefault(index, []).append((atom_index, test, literal))
     return WellFormedSpec(
         ast=ast,
         taxonomy=taxonomy,
         atoms=tuple(found),
         blame=tuple(blame),
-        probes=tuple(probes),
         plan=plan,
         groups=tuple((index, tuple(members)) for index, members in sorted(groups.items())),
     )

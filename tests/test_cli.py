@@ -34,6 +34,7 @@ SPEC = str(DATA / "motorway.spec")
 FINITE_SPEC = str(DATA / "finite.spec")
 TRACE = str(DATA / "flip.trace")
 LOD = str(DATA / "lod_out.json")
+REAL_EQUALITY = "operational_speed == 50 kmh"
 
 
 def run_cli(*argv):
@@ -331,6 +332,23 @@ class TestExitCodes:
         assert bad.stdout == b""
         assert bad.stderr == b"error: <stdin>: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("filters", [None, "error"], ids=["default", "error"])
+    def test_a_real_equality_warning_is_one_line(self, tmp_path, filters):
+        spec = tmp_path / "equal.spec"
+        spec.write_text(REAL_EQUALITY)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        if filters is not None:
+            env["PYTHONWARNINGS"] = filters
+        result = subprocess.run(
+            [sys.executable, "-m", "oddspec", "check", "--taxonomy", TAXONOMY, "--spec", str(spec)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0
+        assert result.stdout == f"{REAL_EQUALITY}\nmentioned attributes: operational_speed\n"
+        assert result.stderr == (
+            "warning: operational_speed: exact equality on a real-valued attribute is fragile\n"
+        )
+
 
 class TestInProcessEntryPoint:
     # the same paths drive main() directly, keeping coverage fast and
@@ -365,6 +383,14 @@ class TestInProcessEntryPoint:
 def _assert_one_error_line(text: str) -> None:
     assert text.startswith("error: ")
     assert text.endswith("\n") and text.count("\n") == 1
+
+
+def _assert_warnings_then_one_error_line(text: str) -> None:
+    while text.startswith("warning: "):
+        _, newline, text = text.partition("\n")
+        assert newline
+    if text:
+        _assert_one_error_line(text)
 
 
 HUGE = "9" * 5000  # past int()'s 4300-digit limit
@@ -603,7 +629,9 @@ _TAXONOMY_DOCUMENT = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    spec=_fuzzed(SPEC_WORDS, " ", [Path(SPEC).read_text(), "not road_type == rural"]),
+    spec=_fuzzed(
+        SPEC_WORDS, " ", [Path(SPEC).read_text(), "not road_type == rural", REAL_EQUALITY]
+    ),
     trace=_fuzzed(RECORD_PARTS, "\n", ["\n".join(GOOD_RECORDS)]),
     lod=_fuzzed(RECORD_PARTS, "", GOOD_RECORDS),
     taxonomy=st.one_of(
@@ -628,5 +656,4 @@ def test_no_input_ends_in_a_traceback(spec, trace, lod, taxonomy):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 1, 2, 3)
-            if err.getvalue():
-                _assert_one_error_line(err.getvalue())
+            _assert_warnings_then_one_error_line(err.getvalue())

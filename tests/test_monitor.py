@@ -16,6 +16,7 @@ from oddspec import (
     Predicate,
     Taxonomy,
     Trace,
+    UNKNOWN,
     Verdict,
     check_spec,
     diagnose,
@@ -69,11 +70,21 @@ def events_as_tuples(report):
 
 class TestInit:
     def test_fresh_state(self):
-        state = monitor_init(flag_spec(), FLAG_TAXONOMY)
+        spec = flag_spec()
+        state = monitor_init(spec, FLAG_TAXONOMY)
         assert state.samples_total == 0
         assert state.last_verdict is None
         assert state.last_t is None
         assert all(seconds == 0.0 for seconds in state.dwell.values())
+        # the all-Unknown row, on which every atom has rank 1
+        assert state.last_values == (UNKNOWN,) * len(FLAG_TAXONOMY)
+        assert state.last_ranks == [1] * len(spec.atoms)
+        # a first sample with every attribute unmeasured repeats those ranks,
+        # yet it is the first verdict
+        _, verdict, events = monitor_step(state, make_lod(FLAG_TAXONOMY, {}, t=0.0))
+        assert verdict is Verdict.UNKNOWN
+        assert [(e.kind, e.sample_index) for e in events] == [(EventKind.UNKNOWN_START, 0)]
+        assert events[0].diagnosis.unknown_atoms == spec.atoms
 
     def test_version_mismatch(self):
         other = Taxonomy(FLAG_TAXONOMY.attributes, version="flag2")

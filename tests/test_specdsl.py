@@ -29,7 +29,7 @@ from oddspec import (
     render_value,
     serialize_spec,
 )
-from oddspec.specdsl import _lex
+from oddspec.specdsl import _check_atom, _lex
 from oracles import SPEC_FAMILY, eval_two_valued, random_free_ast, random_spec
 
 S1 = Atom("road_type", Predicate.EQ, "motorway")
@@ -320,14 +320,16 @@ class TestPlan:
         for _ in range(10):
             spec = check_spec(random_spec(rng, taxonomy, 6), taxonomy)
             indices = [index for index, _ in spec.groups]
-            assert indices == sorted({index for index, *_ in spec.probes})
+            assert indices == sorted(set(indices))
             members = sorted(
                 (atom_index, (index, test, literal))
                 for index, group in spec.groups
                 for atom_index, test, literal in group
             )
-            assert [atom_index for atom_index, _ in members] == list(range(len(spec.probes)))
-            assert tuple(probe for _, probe in members) == spec.probes
+            assert [atom_index for atom_index, _ in members] == list(range(len(spec.atoms)))
+            assert [probe for _, probe in members] == [
+                _check_atom(atom, taxonomy) for atom in spec.atoms
+            ]
 
 
 class TestAtoms:
