@@ -108,6 +108,25 @@ def _fold(plan: Plan, ranks: list[int]) -> int:
     return (left := _fold(plan[0], ranks)) and min(left, _fold(plan[1], ranks))
 
 
+def _lift(spec: WellFormedSpec, node_ranks: list[int], atom_index: int, rank: int) -> None:
+    """Give atom ``atom_index`` the rank ``rank`` in ``node_ranks``, one
+    rank per node of the spec's node table, each consistent with its
+    children: from each of the atom's leaves, recompute the ancestors
+    upward and stop at the first whose rank stays, as none above it moves."""
+    parents, children = spec.parents, spec.children
+    for node in spec.leaves[atom_index]:
+        node_ranks[node] = rank
+        while (node := parents[node]) >= 0:
+            kids = children[node]
+            if len(kids) == 1:
+                new = 2 - node_ranks[kids[0]]
+            elif (new := node_ranks[kids[0]]) > (right := node_ranks[kids[1]]):
+                new = right
+            if node_ranks[node] == new:
+                break
+            node_ranks[node] = new
+
+
 def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
     """Truth value of one constraint against one sample.
 
@@ -246,16 +265,17 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    return _diagnosis(spec, _ranks(spec.groups, len(spec.atoms), lod.values))
+    ranks = _ranks(spec.groups, len(spec.atoms), lod.values)
+    return _diagnosis(spec, ranks, _fold(spec.plan, ranks))
 
 
-def _diagnosis(spec: WellFormedSpec, ranks: list[int]) -> Diagnosis:
-    """The diagnosis of a sample whose atom ranks are ``ranks``: it depends
-    on nothing else."""
+def _diagnosis(spec: WellFormedSpec, ranks: list[int], root: int) -> Diagnosis:
+    """The diagnosis of a sample whose atom ranks are ``ranks`` and whose
+    spec has the rank ``root`` on them: it depends on nothing else."""
     falsified, unknown = [], []
     for atom, rank, blamed in zip(spec.atoms, ranks, spec.blame):
         if rank == 0 and blamed:
             falsified.append(atom)
         elif rank == 1:
             unknown.append(atom)
-    return Diagnosis(_VERDICT[_fold(spec.plan, ranks)], tuple(falsified), tuple(unknown))
+    return Diagnosis(_VERDICT[root], tuple(falsified), tuple(unknown))

@@ -16,10 +16,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
-from .evaluator import Diagnosis, Verdict, _check_arity, _diagnosis, _retest
+from .evaluator import _VERDICT, Diagnosis, Verdict, _check_arity, _diagnosis, _lift, _retest
 from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import Taxonomy, _check_binding
 
@@ -60,20 +62,23 @@ _TRANSITIONS: dict[tuple[Verdict | None, Verdict], tuple[EventKind, ...]] = {
 
 @dataclass
 class MonitorState:
-    """Mutable fold state, built by ``monitor_init``; owned by exactly one
-    consumer at a time.
+    """Mutable fold state; owned by exactly one consumer at a time.
 
-    A sample's diagnosis depends only on its atom ranks, so the fold keeps
-    the last sample's ranks (``last_ranks``) and ``Diagnosis``
-    (``last_diagnosis``), and reuses them while the ranks repeat. An atom's
-    rank depends only on its attribute's value, so the fold also keeps the
-    last sample's values tuple (``last_values``) and re-tests only the
-    atoms of the attributes whose value differs from it. ``monitor_init``
-    seeds both with the all-Unknown row (every atom rank 1), so the first
-    sample takes the same path as every later one.
-    ``pending`` counts the samples of that run not yet added to
-    ``atom_violations``, which therefore lags by the pending run until
-    ``report_from_state`` adds it: read violations from the report.
+    ``MonitorState(spec)`` and ``monitor_init`` build the same fresh state:
+    every seed below is the all-Unknown row, on which every atom and every
+    node has rank 1 (``min(1, 1)`` and ``2 - 1``), so the first sample takes
+    the same path as every later one.
+
+    An atom's rank depends only on its attribute's value, so the fold keeps
+    the last sample's values tuple (``last_values``) and atom ranks
+    (``last_ranks``), and re-tests only the atoms of the attributes whose
+    value differs. ``node_ranks`` holds one rank per node of the spec's
+    node table (``WellFormedSpec.parents``); for each atom whose rank
+    changed, the fold walks up from its leaves, and the root's rank is the
+    verdict. A blamed atom's falsified samples are counted by runs:
+    ``run_starts[i]`` is the sample index at which atom ``i``'s rank last
+    became 0, and ``violations[i]`` adds up the runs that have ended.
+    ``report_from_state`` adds the runs still open.
     """
 
     spec: WellFormedSpec
@@ -81,11 +86,19 @@ class MonitorState:
     last_t: float | None = None
     counts: dict[Verdict, int] = field(default_factory=lambda: dict.fromkeys(Verdict, 0))
     dwell: dict[Verdict, float] = field(default_factory=lambda: dict.fromkeys(Verdict, 0.0))
-    atom_violations: dict[Atom, int] = field(default_factory=dict)
-    last_ranks: list[int] | None = None
-    last_values: tuple | None = None
-    last_diagnosis: Diagnosis | None = None
-    pending: int = 0
+    last_values: tuple = field(init=False)
+    last_ranks: list[int] = field(init=False)
+    node_ranks: list[int] = field(init=False)
+    violations: list[int] = field(init=False)
+    run_starts: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        spec = self.spec
+        self.last_values = (UNKNOWN,) * len(spec.taxonomy)
+        self.last_ranks = [1] * len(spec.atoms)
+        self.node_ranks = [1] * len(spec.parents)
+        self.violations = [0] * len(spec.atoms)
+        self.run_starts = [0] * len(spec.atoms)
 
     @property
     def samples_total(self) -> int:
@@ -113,10 +126,7 @@ def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
             equal to ``taxonomy`` (attributes, order, types and version).
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", MonitorError)
-    return MonitorState(
-        spec, atom_violations=dict.fromkeys(spec.atoms, 0),
-        last_ranks=[1] * len(spec.atoms), last_values=(UNKNOWN,) * len(taxonomy),
-    )
+    return MonitorState(spec)
 
 
 def monitor_step(
@@ -128,58 +138,53 @@ def monitor_step(
     one to the PREVIOUS verdict (sample-and-hold). Only the atoms of the
     attributes whose value is ``!=`` the previous sample's are tested
     again: for the values a taxonomy holds, equal values pass the same
-    tests. A sample whose atom ranks equal the previous sample's has the
-    same diagnosis and verdict, hence no events: it only extends the
-    pending run. A refused sample leaves the state as it was.
+    tests. Only the nodes above an atom whose rank changed are folded
+    again, and a ``Diagnosis`` is built only for a sample that emits
+    events. A refused sample leaves the state as it was.
 
     Raises:
         MonitorError: the sample's timestamp does not increase.
         EvaluationError: the sample's arity does not match the taxonomy.
     """
-    if state.last_t is not None and not cod.t > state.last_t:
-        raise MonitorError(
-            f"timestamp {cod.t} does not increase past {state.last_t}"
-        )
+    last_t = state.last_t
+    if last_t is not None and not cod.t > last_t:
+        raise MonitorError(f"timestamp {cod.t} does not increase past {last_t}")
     spec = state.spec
     _check_arity(cod, spec.taxonomy)
-    ranks = _retest(spec.groups, cod.values, state.last_values, state.last_ranks)
+    last_ranks = state.last_ranks
+    ranks = _retest(spec.groups, cod.values, state.last_values, last_ranks)
+    # nothing below raises, so a refused sample commits nothing
     state.last_values = cod.values
-    if ranks == state.last_ranks and state.last_verdict is not None:
-        verdict = state.last_verdict
-        state.pending += 1
-        state.counts[verdict] += 1
-        state.dwell[verdict] += cod.t - state.last_t
-        state.last_t = cod.t
-        return state, verdict, []
+    if ranks is not last_ranks and ranks != last_ranks:
+        state.last_ranks = ranks
+        index = state.samples_total
+        node_ranks, blame, starts = state.node_ranks, spec.blame, state.run_starts
+        for atom_index in compress(range(len(ranks)), map(ne, ranks, last_ranks)):
+            rank = ranks[atom_index]
+            _lift(spec, node_ranks, atom_index, rank)
+            if blame[atom_index]:
+                if rank == 0:
+                    starts[atom_index] = index
+                elif last_ranks[atom_index] == 0:
+                    state.violations[atom_index] += index - starts[atom_index]
 
-    _flush(state)
-    report = _diagnosis(spec, ranks)
-    verdict = report.verdict
-
-    if state.last_t is not None:
-        state.dwell[state.last_verdict] += cod.t - state.last_t
-
-    sample_index = state.samples_total
+    root = state.node_ranks[-1]
+    verdict = _VERDICT[root]
+    last_verdict = state.last_verdict
+    if last_t is not None:
+        state.dwell[last_verdict] += cod.t - last_t
     state.counts[verdict] += 1
-
-    events = [
-        MonitorEvent(kind=kind, t=cod.t, sample_index=sample_index, diagnosis=report)
-        for kind in _TRANSITIONS[(state.last_verdict, verdict)]
-    ]
     state.last_verdict = verdict
     state.last_t = cod.t
-    state.last_ranks = ranks
-    state.last_diagnosis = report
-    state.pending = 1
-    return state, verdict, events
-
-
-def _flush(state: MonitorState) -> None:
-    """Add the pending run to ``atom_violations``; a second call adds nothing."""
-    if state.pending:
-        for atom in state.last_diagnosis.falsified_atoms:
-            state.atom_violations[atom] += state.pending
-        state.pending = 0
+    # a repeated verdict has no events, which spares most samples the lookup
+    if verdict is last_verdict or not (kinds := _TRANSITIONS[(last_verdict, verdict)]):
+        return state, verdict, []
+    diagnosis = _diagnosis(spec, ranks, root)
+    index = state.samples_total - 1
+    return state, verdict, [
+        MonitorEvent(kind=kind, t=cod.t, sample_index=index, diagnosis=diagnosis)
+        for kind in kinds
+    ]
 
 
 def run_monitor(
@@ -216,7 +221,15 @@ def report_from_state(
     total = state.samples_total
     if total == 0:
         raise MonitorError("trace has no samples")
-    _flush(state)
+    atom_violations = {}
+    for atom, count, rank, start, blamed in zip(
+        state.spec.atoms, state.violations, state.last_ranks, state.run_starts,
+        state.spec.blame,
+    ):
+        if rank == 0 and blamed:
+            count += total - start
+        if count:
+            atom_violations[atom] = count
     return MonitorReport(
         samples_total=total,
         samples_in=state.counts[Verdict.TRUE],
@@ -226,9 +239,7 @@ def report_from_state(
         dwell_out_s=state.dwell[Verdict.FALSE],
         dwell_unknown_s=state.dwell[Verdict.UNKNOWN],
         events=tuple(events),
-        atom_violations={
-            atom: count for atom, count in state.atom_violations.items() if count > 0
-        },
+        atom_violations=atom_violations,
     )
 
 

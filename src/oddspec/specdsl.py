@@ -106,6 +106,13 @@ class WellFormedSpec:
     tests: one ``(value index, ((atom index, test, literal), ...))`` per
     mentioned attribute, in value-index order, where ``test(literal,
     value)`` is the atom's truth on a measured value.
+
+    ``parents``, ``children`` and ``leaves`` are the plan as a flat node
+    table, numbered in post-order, so the root is the last node: a leaf is
+    one occurrence of an atom and has no children, a negation has one
+    child and a conjunction two. ``parents[n]`` is -1 for the root, and
+    ``leaves[i]`` lists the leaves of atom ``i``, which may be several, of
+    either polarity. The monitor updates node ranks upward along it.
     ``mentioned_attributes`` is derived from ``atoms``.
     """
 
@@ -115,6 +122,9 @@ class WellFormedSpec:
     blame: tuple[bool, ...] = field(compare=False, repr=False)
     plan: Plan = field(compare=False, repr=False)
     groups: tuple[Group, ...] = field(compare=False, repr=False)
+    parents: tuple[int, ...] = field(compare=False, repr=False)
+    children: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    leaves: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def mentioned_attributes(self) -> frozenset[str]:
@@ -312,30 +322,51 @@ def parse_spec(text: str) -> SpecAst:
 # --------------------------------------------------------------------------
 
 
-def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], Plan]:
+def _compile(
+    ast: SpecAst,
+) -> tuple[list[Atom], list[bool], Plan, list[int], list[tuple], list[list[int]]]:
     """One walk of the tree: its distinct atoms in first-occurrence order,
-    each atom's blame flag, and the plan over atom positions."""
+    each atom's blame flag, the plan over atom positions and the plan's
+    node table (``WellFormedSpec.parents``, ``children`` and ``leaves``)."""
     positions: dict[Atom, int] = {}
     blame: list[bool] = []
+    parents: list[int] = []
+    children: list[tuple] = []
+    leaves: list[list[int]] = []
 
     def visit(node: SpecAst, positive: bool) -> Plan:
+        # post-order: a node is numbered after its children, so the node a
+        # visit adds last is the root of its subtree
         if isinstance(node, Atom):
             position = positions.setdefault(node, len(blame))
             if position == len(blame):
                 blame.append(positive)
+                leaves.append([])
             elif positive:
                 blame[position] = True
-            return position
-        if isinstance(node, Not):
+            leaves[position].append(len(parents))
+            kids = ()
+            plan = position
+        elif isinstance(node, Not):
             if isinstance(node.operand, Not):  # not not p folds to p
                 return visit(node.operand.operand, positive)
-            return (visit(node.operand, not positive),)
-        if isinstance(node, And):
-            return (visit(node.left, positive), visit(node.right, positive))
-        raise TypeError(f"not a spec node: {node!r}")
+            plan = (visit(node.operand, not positive),)
+            kids = (len(parents) - 1,)
+        elif isinstance(node, And):
+            left = visit(node.left, positive)
+            left_node = len(parents) - 1
+            plan = (left, visit(node.right, positive))
+            kids = (left_node, len(parents) - 1)
+        else:
+            raise TypeError(f"not a spec node: {node!r}")
+        for kid in kids:
+            parents[kid] = len(parents)
+        parents.append(-1)
+        children.append(kids)
+        return plan
 
     plan = visit(ast, True)
-    return list(positions), blame, plan
+    return list(positions), blame, plan, parents, children, leaves
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
@@ -431,7 +462,7 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
-    found, blame, plan = _compile(ast)
+    found, blame, plan, parents, children, leaves = _compile(ast)
     groups: dict[int, list] = {}
     # A plain loop, not a generator, so that RealEqualityWarning's
     # stacklevel names the caller of check_spec.
@@ -445,6 +476,9 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         blame=tuple(blame),
         plan=plan,
         groups=tuple((index, tuple(members)) for index, members in sorted(groups.items())),
+        parents=tuple(parents),
+        children=tuple(children),
+        leaves=tuple(map(tuple, leaves)),
     )
 
 

@@ -10,9 +10,11 @@ from oddspec import (
     BoolType,
     IntType,
     EvaluationError,
+    EnumType,
     EventKind,
     Lod,
     MonitorError,
+    MonitorState,
     Predicate,
     Taxonomy,
     Trace,
@@ -39,6 +41,8 @@ from oracles import (
     simulate_monitor,
     space_of,
 )
+
+from oddspec.evaluator import _fold
 
 FLAG_TAXONOMY = Taxonomy((Attribute("flag", BoolType()),), version="flag1")
 FLAG_ATOM = Atom("flag", Predicate.EQ, True)
@@ -79,12 +83,23 @@ class TestInit:
         # the all-Unknown row, on which every atom has rank 1
         assert state.last_values == (UNKNOWN,) * len(FLAG_TAXONOMY)
         assert state.last_ranks == [1] * len(spec.atoms)
+        assert state.node_ranks == [1] * len(spec.parents)
+        assert state.violations == state.run_starts == [0] * len(spec.atoms)
         # a first sample with every attribute unmeasured repeats those ranks,
         # yet it is the first verdict
         _, verdict, events = monitor_step(state, make_lod(FLAG_TAXONOMY, {}, t=0.0))
         assert verdict is Verdict.UNKNOWN
         assert [(e.kind, e.sample_index) for e in events] == [(EventKind.UNKNOWN_START, 0)]
         assert events[0].diagnosis.unknown_atoms == spec.atoms
+
+    def test_a_directly_built_state_folds_like_monitor_init(self):
+        spec = check_spec(parse_spec("a == true or not b == true"), PAIR_TAXONOMY)
+        rows = [{"a": False, "b": True}, {"a": None}, {"a": True, "b": False}, {"b": True}]
+        samples = [make_lod(PAIR_TAXONOMY, r, t=float(i)) for i, r in enumerate(rows)]
+        direct, _, direct_events = fold(spec, samples, MonitorState(spec))
+        built, _, built_events = fold(spec, samples)
+        assert direct == built
+        assert report_from_state(direct, direct_events) == report_from_state(built, built_events)
 
     def test_version_mismatch(self):
         other = Taxonomy(FLAG_TAXONOMY.attributes, version="flag2")
@@ -426,6 +441,51 @@ class TestRepeatedRanks:
                 spec, FLAG_TAXONOMY, trace
             ), cut
 
+    def test_an_atom_only_under_negation_never_counts(self):
+        spec = check_spec(parse_spec("not a == true and b == true"), PAIR_TAXONOMY)
+        rows = [(False, True), (False, False), (True, False), (False, False), (False, True)]
+        samples = [
+            make_lod(PAIR_TAXONOMY, {"a": a, "b": b}, t=float(i)) for i, (a, b) in enumerate(rows)
+        ]
+        state, _, events = fold(spec, samples)
+        report = report_from_state(state, events)
+        assert report.atom_violations == {B_ATOM: 3}
+        assert state.violations[spec.atoms.index(A_ATOM)] == 0
+        for event in events:
+            assert A_ATOM not in event.diagnosis.falsified_atoms
+
+    def test_a_run_broken_by_unmeasured_samples_counts_only_falsified_ones(self):
+        letters = "TFFUUFFFUT"
+        state, _, events = fold(flag_spec(), trace_for(letters).samples)
+        assert report_from_state(state, events).atom_violations == {FLAG_ATOM: 5}
+        # both runs have ended, so the state holds the whole count
+        assert state.violations == [5]
+
+    def test_an_open_run_is_counted_once_however_often_it_is_reported(self):
+        spec = flag_spec()
+        trace = trace_for("TFFFFF")
+        state, _, events = fold(spec, trace.samples[:4])
+        violations, starts = list(state.violations), list(state.run_starts)
+        mid = report_from_state(state, events)
+        assert report_from_state(state, events) == mid
+        assert mid.atom_violations == {FLAG_ATOM: 3}
+        # a report reads the open run and leaves it open
+        assert (state.violations, state.run_starts) == (violations, starts)
+        _, _, more = fold(spec, trace.samples[4:], state)
+        end = report_from_state(state, events + more)
+        assert report_from_state(state, events + more) == end
+        assert end.atom_violations == {FLAG_ATOM: 5}
+        assert end == run_monitor(spec, FLAG_TAXONOMY, trace)
+
+
+def _snapshot(state):
+    """Every field a step may write, copied."""
+    return (
+        state.last_verdict, state.last_t, dict(state.counts), dict(state.dwell),
+        state.last_values, list(state.last_ranks), list(state.node_ranks),
+        list(state.violations), list(state.run_starts),
+    )
+
 
 class TestChecksOnRepeatedRanks:
     def test_wrong_arity_after_a_run_is_refused(self):
@@ -437,10 +497,12 @@ class TestChecksOnRepeatedRanks:
         spec = flag_spec()
         trace = trace_for("TFFF")
         state, _, events = fold(spec, trace.samples)
-        counts, dwell, pending = dict(state.counts), dict(state.dwell), state.pending
+        counts, dwell = dict(state.counts), dict(state.dwell)
+        snapshot = _snapshot(state)
         with pytest.raises(MonitorError, match="increase"):
             monitor_step(state, make_lod(FLAG_TAXONOMY, {"flag": False}, t=3.0))
-        assert (state.counts, state.dwell, state.pending) == (counts, dwell, pending)
+        assert (state.counts, state.dwell) == (counts, dwell)
+        assert _snapshot(state) == snapshot
         tail = (make_lod(FLAG_TAXONOMY, {"flag": False}, t=4.0),)
         _, _, more = fold(spec, tail, state)
         whole = Trace(FLAG_TAXONOMY, trace.samples + tail)
@@ -539,6 +601,7 @@ class TestChangedAttributes:
         samples = [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
         state, _, _ = fold(spec, samples)
         last_values, last_ranks = state.last_values, list(state.last_ranks)
+        snapshot = _snapshot(state)
         changed = make_lod(taxonomy, _changing_rows(rng, spaces, 2)[1], t=float(len(rows) - 1))
         with pytest.raises(MonitorError, match="increase"):
             monitor_step(state, changed)
@@ -546,6 +609,7 @@ class TestChangedAttributes:
             monitor_step(state, Lod(float(len(rows)), 0.0, 0.0, changed.values[:-1]))
         assert state.last_values is last_values
         assert state.last_ranks == last_ranks
+        assert _snapshot(state) == snapshot
 
     def test_a_test_that_raises_commits_nothing(self):
         taxonomy = Taxonomy(
@@ -556,9 +620,100 @@ class TestChangedAttributes:
         samples = [make_lod(taxonomy, {"count": 1, "flag": True}, t=0.0)]
         state, _, _ = fold(spec, samples)
         snapshot = (state.last_values, list(state.last_ranks), state.last_t, dict(state.counts))
+        whole = _snapshot(state)
         # a sample not built from the taxonomy: its count cannot be ordered
         with pytest.raises(TypeError):
             monitor_step(state, Lod(1.0, 0.0, 0.0, ("many", False)))
         assert (state.last_values, state.last_ranks, state.last_t, state.counts) == snapshot
+        assert _snapshot(state) == whole
         _, verdict, _ = monitor_step(state, make_lod(taxonomy, {"count": 1, "flag": False}, t=2.0))
         assert verdict is Verdict.FALSE
+
+
+def _subtree_plans(spec):
+    """The plan of every node's subtree, rebuilt from the node table alone."""
+    atom_of = {leaf: atom for atom, leaves in enumerate(spec.leaves) for leaf in leaves}
+    plans = []
+    for node, kids in enumerate(spec.children):
+        plans.append(atom_of[node] if not kids else tuple(plans[kid] for kid in kids))
+    return plans
+
+
+def _assert_node_ranks(ast, spec, rows, orders):
+    """Step the samples of ``rows``; after each, every node's rank is a fresh
+    fold of its subtree and the root's is the truth-table referee's verdict."""
+    plans = _subtree_plans(spec)
+    state = monitor_init(spec, spec.taxonomy)
+    for i, row in enumerate(rows):
+        monitor_step(state, make_lod(spec.taxonomy, row, t=float(i)))
+        assert state.last_ranks == [state.node_ranks[leaves[0]] for leaves in spec.leaves]
+        assert state.node_ranks == [_fold(plan, state.last_ranks) for plan in plans]
+        assert _VERDICT_NAMES[state.node_ranks[-1]] == eval_kleene(ast, row, orders)
+    return state
+
+
+_VERDICT_NAMES = ("false", "unknown", "true")
+
+TRIO_TAXONOMY = Taxonomy(
+    (Attribute("a", EnumType(("x", "y"))), Attribute("flag", BoolType()),
+     Attribute("b", BoolType())),
+    version="trio1",
+)
+
+
+class TestNodeTable:
+    """The monitor's node ranks against a fresh fold of each subtree and the
+    root against ``oracles.eval_kleene``, after every step."""
+
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_the_table_is_the_plan(self, taxonomy):
+        rng = random.Random("table " + taxonomy.version)
+        for _ in range(10):
+            spec = check_spec(random_spec(rng, taxonomy, 6), taxonomy)
+            assert _subtree_plans(spec)[-1] == spec.plan
+            assert spec.parents[-1] == -1
+            for node, kids in enumerate(spec.children):
+                assert all(kid < node and spec.parents[kid] == node for kid in kids)
+            leaves = sorted(leaf for atom_leaves in spec.leaves for leaf in atom_leaves)
+            assert leaves == [node for node, kids in enumerate(spec.children) if not kids]
+
+    @pytest.mark.parametrize("text", [
+        "flag == true and not flag == true",
+        "not (a == x and not a == x) and a == x",
+        "a == x or not (a == x or flag == true) or not flag == true",
+        "not not (flag == true and b == true) and not (b == true and not not flag == true)",
+    ])
+    def test_an_atom_with_leaves_of_both_polarities(self, text):
+        ast = parse_spec(text)
+        spec = check_spec(ast, TRIO_TAXONOMY)
+        assert any(len(leaves) > 1 for leaves in spec.leaves)
+        spaces = {"a": ["x", "y", None], "flag": [True, False, None], "b": [True, False, None]}
+        rows = _changing_rows(random.Random(text), spaces, 200)
+        _assert_node_ranks(ast, spec, rows, label_orders_of(TRIO_TAXONOMY))
+
+    @pytest.mark.parametrize("base", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_random_specs_over_changing_rows(self, base):
+        taxonomy = _with_spare(base)
+        rng = random.Random("nodes " + base.version)
+        orders = label_orders_of(taxonomy)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        for _ in range(6):
+            ast = random_spec(rng, base, 6)
+            spec = check_spec(ast, taxonomy)
+            _assert_node_ranks(ast, spec, _changing_rows(rng, spaces, 60), orders)
+
+    def test_a_change_under_a_false_sibling_stops_at_the_conjunction(self):
+        ast = parse_spec("not (a == true and b == true)")
+        spec = check_spec(ast, PAIR_TAXONOMY)
+        rows = [{"a": False, "b": True}, {"a": False, "b": None}, {"a": False, "b": False}]
+        samples = [make_lod(PAIR_TAXONOMY, r, t=float(i)) for i, r in enumerate(rows)]
+        state = _assert_node_ranks(ast, spec, rows[:1], {})
+        conjunction = spec.parents[spec.leaves[spec.atoms.index(B_ATOM)][0]]
+        for sample, b_rank in zip(samples[1:], (1, 0)):
+            _, verdict, events = monitor_step(state, sample)
+            assert state.node_ranks[spec.leaves[spec.atoms.index(B_ATOM)][0]] == b_rank
+            # the False left operand masks the change: neither the
+            # conjunction nor the negation above it moves
+            assert state.node_ranks[conjunction] == 0
+            assert state.node_ranks[-1] == 2
+            assert (verdict, events) == (Verdict.TRUE, [])
