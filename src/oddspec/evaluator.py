@@ -77,25 +77,32 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
         )
 
 
-def _retest(groups: Sequence[Group], values, last_values, last_ranks: list[int]) -> list[int]:
+def _retest(
+    groups: Sequence[Group], values, last_values, last_ranks: list[int], moved: list[int]
+) -> list[int]:
     """The atom ranks on ``values``, given ``last_ranks`` on ``last_values``:
     the atoms of each position whose value is ``!=`` the last are tested
     again, 1 (Unknown) on an unmeasured value, else 2 or 0 as the test holds.
-    ``last_ranks`` is copied before the first write, or returned as it is."""
+    Each atom whose rank moves is appended to ``moved``, once, as an atom
+    belongs to one position. ``last_ranks`` is copied before the first rank
+    that moves is written, or returned as it is when none moves."""
     ranks = last_ranks
     for index, group in groups:
         if (value := values[index]) != last_values[index]:
-            if ranks is last_ranks:
-                ranks = last_ranks.copy()
             for atom_index, test, literal in group:
-                ranks[atom_index] = 1 if value is UNKNOWN else 2 * test(literal, value)
+                rank = 1 if value is UNKNOWN else 2 * test(literal, value)
+                if rank != ranks[atom_index]:
+                    if ranks is last_ranks:
+                        ranks = last_ranks.copy()
+                    ranks[atom_index] = rank
+                    moved.append(atom_index)
     return ranks
 
 
 def _ranks(groups: Sequence[Group], size: int, values: Sequence) -> list[int]:
     """The ranks of ``size`` atoms on ``values``, from the all-Unknown row:
     every atom has rank 1 there, and only the measured positions differ."""
-    return _retest(groups, values, (UNKNOWN,) * len(values), [1] * size)
+    return _retest(groups, values, (UNKNOWN,) * len(values), [1] * size, [])
 
 
 def _fold(plan: Plan, ranks: list[int]) -> int:
@@ -208,7 +215,7 @@ def _admitting_prefixes(
         position = order[depth - 1]
         for value in stack[-1]:
             values[position] = value
-            rank = _fold(plan, _retest(groups, values, unknown, ones))
+            rank = _fold(plan, _retest(groups, values, unknown, ones, []))
             if rank == 2:
                 yield values, depth
             elif rank == 1:

@@ -17,11 +17,10 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import ne
 
 from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
-from .evaluator import _VERDICT, Diagnosis, Verdict, _check_arity, _diagnosis, _lift, _retest
+from .evaluator import _VERDICT, Diagnosis, Verdict, _check_arity, _lift, _retest
 from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import Taxonomy, _check_binding
 
@@ -66,18 +65,21 @@ class MonitorState:
 
     ``MonitorState(spec)`` and ``monitor_init`` build the same fresh state:
     every seed below is the all-Unknown row, on which every atom and every
-    node has rank 1 (``min(1, 1)`` and ``2 - 1``), so the first sample takes
-    the same path as every later one.
+    node has rank 1 (``min(1, 1)`` and ``2 - 1``), every atom is unknown and
+    none is falsified, so the first sample takes the same path as every
+    later one.
 
     An atom's rank depends only on its attribute's value, so the fold keeps
     the last sample's values tuple (``last_values``) and atom ranks
     (``last_ranks``), and re-tests only the atoms of the attributes whose
     value differs. ``node_ranks`` holds one rank per node of the spec's
     node table (``WellFormedSpec.parents``); for each atom whose rank
-    changed, the fold walks up from its leaves, and the root's rank is the
-    verdict. A blamed atom's falsified samples are counted by runs:
-    ``run_starts[i]`` is the sample index at which atom ``i``'s rank last
-    became 0, and ``violations[i]`` adds up the runs that have ended.
+    moved, the fold walks up from its leaves, and the root's rank is the
+    verdict. The diagnosis is kept per atom: ``falsified[i]`` says atom
+    ``i`` is blamed and has rank 0, ``unknown[i]`` that it has rank 1. A
+    blamed atom's falsified samples are counted by runs: ``run_starts[i]``
+    is the sample index at which atom ``i``'s rank last became 0, and
+    ``violations[i]`` adds up the runs that have ended.
     ``report_from_state`` adds the runs still open.
     """
 
@@ -89,6 +91,8 @@ class MonitorState:
     last_values: tuple = field(init=False)
     last_ranks: list[int] = field(init=False)
     node_ranks: list[int] = field(init=False)
+    falsified: list[bool] = field(init=False)
+    unknown: list[bool] = field(init=False)
     violations: list[int] = field(init=False)
     run_starts: list[int] = field(init=False)
 
@@ -97,6 +101,8 @@ class MonitorState:
         self.last_values = (UNKNOWN,) * len(spec.taxonomy)
         self.last_ranks = [1] * len(spec.atoms)
         self.node_ranks = [1] * len(spec.parents)
+        self.falsified = [False] * len(spec.atoms)
+        self.unknown = [True] * len(spec.atoms)
         self.violations = [0] * len(spec.atoms)
         self.run_starts = [0] * len(spec.atoms)
 
@@ -138,9 +144,10 @@ def monitor_step(
     one to the PREVIOUS verdict (sample-and-hold). Only the atoms of the
     attributes whose value is ``!=`` the previous sample's are tested
     again: for the values a taxonomy holds, equal values pass the same
-    tests. Only the nodes above an atom whose rank changed are folded
-    again, and a ``Diagnosis`` is built only for a sample that emits
-    events. A refused sample leaves the state as it was.
+    tests. The atoms whose rank moved, as the re-test lists them, are the
+    only ones whose nodes, flags and runs are updated. A ``Diagnosis`` is
+    built only for a sample that emits events, from the per-atom flags in
+    atom order. A refused sample leaves the state as it was.
 
     Raises:
         MonitorError: the sample's timestamp does not increase.
@@ -151,25 +158,28 @@ def monitor_step(
         raise MonitorError(f"timestamp {cod.t} does not increase past {last_t}")
     spec = state.spec
     _check_arity(cod, spec.taxonomy)
-    last_ranks = state.last_ranks
-    ranks = _retest(spec.groups, cod.values, state.last_values, last_ranks)
+    moved: list[int] = []
+    ranks = _retest(spec.groups, cod.values, state.last_values, state.last_ranks, moved)
     # nothing below raises, so a refused sample commits nothing
     state.last_values = cod.values
-    if ranks is not last_ranks and ranks != last_ranks:
+    if moved:
         state.last_ranks = ranks
         index = state.samples_total
         node_ranks, blame, starts = state.node_ranks, spec.blame, state.run_starts
-        for atom_index in compress(range(len(ranks)), map(ne, ranks, last_ranks)):
+        falsified, unknown = state.falsified, state.unknown
+        for atom_index in moved:
             rank = ranks[atom_index]
             _lift(spec, node_ranks, atom_index, rank)
+            unknown[atom_index] = rank == 1
             if blame[atom_index]:
                 if rank == 0:
                     starts[atom_index] = index
-                elif last_ranks[atom_index] == 0:
+                    falsified[atom_index] = True
+                elif falsified[atom_index]:
                     state.violations[atom_index] += index - starts[atom_index]
+                    falsified[atom_index] = False
 
-    root = state.node_ranks[-1]
-    verdict = _VERDICT[root]
+    verdict = _VERDICT[state.node_ranks[-1]]
     last_verdict = state.last_verdict
     if last_t is not None:
         state.dwell[last_verdict] += cod.t - last_t
@@ -179,12 +189,14 @@ def monitor_step(
     # a repeated verdict has no events, which spares most samples the lookup
     if verdict is last_verdict or not (kinds := _TRANSITIONS[(last_verdict, verdict)]):
         return state, verdict, []
-    diagnosis = _diagnosis(spec, ranks, root)
-    index = state.samples_total - 1
-    return state, verdict, [
-        MonitorEvent(kind=kind, t=cod.t, sample_index=index, diagnosis=diagnosis)
-        for kind in kinds
-    ]
+    if not moved:
+        # a verdict moves only with an atom, so this is the first sample
+        index = 0
+    atoms = spec.atoms
+    diagnosis = Diagnosis(
+        verdict, tuple(compress(atoms, state.falsified)), tuple(compress(atoms, state.unknown))
+    )
+    return state, verdict, [MonitorEvent(kind, cod.t, index, diagnosis) for kind in kinds]
 
 
 def run_monitor(
@@ -222,11 +234,10 @@ def report_from_state(
     if total == 0:
         raise MonitorError("trace has no samples")
     atom_violations = {}
-    for atom, count, rank, start, blamed in zip(
-        state.spec.atoms, state.violations, state.last_ranks, state.run_starts,
-        state.spec.blame,
+    for atom, count, falsified, start in zip(
+        state.spec.atoms, state.violations, state.falsified, state.run_starts
     ):
-        if rank == 0 and blamed:
+        if falsified:
             count += total - start
         if count:
             atom_violations[atom] = count

@@ -24,7 +24,6 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Callable, NamedTuple, Union
 
 from .errors import (
@@ -502,6 +501,8 @@ def render_value(value) -> str:
             raise ValueError(f"non-finite literal {value!r} has no syntax")
         text = repr(value)
         if "e" in text:
+            from decimal import Decimal  # imported here: only exponent floats need it
+
             text = format(Decimal(text), "f")
         if "." not in text:
             text += ".0"

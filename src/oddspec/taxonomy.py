@@ -32,7 +32,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 from .errors import TaxonomyError
 
@@ -65,6 +64,8 @@ def _shown(value, show=repr) -> str:
         return show(value)
     except ValueError:
         if isinstance(value, int):
+            from decimal import Decimal  # imported here: only huge ints need it
+
             return format(Decimal(value), "f")
         return f"<{type(value).__name__}>"
 

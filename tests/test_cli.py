@@ -33,6 +33,8 @@ FINITE = str(DATA / "taxonomy_finite.json")
 SPEC = str(DATA / "motorway.spec")
 FINITE_SPEC = str(DATA / "finite.spec")
 TRACE = str(DATA / "flip.trace")
+NEGATED_SPEC = str(DATA / "negated.spec")
+DROPOUT_TRACE = str(DATA / "dropout.trace")
 LOD = str(DATA / "lod_out.json")
 REAL_EQUALITY = "operational_speed == 50 kmh"
 
@@ -82,6 +84,23 @@ class TestGoldenOutputs:
         )
         assert result.returncode == 0
         assert report.read_text() == (GOLDEN / "report.json").read_text()
+
+    def test_diagnoses_with_unknown_and_unblamed_atoms_are_byte_stable(self, tmp_path):
+        report = tmp_path / "report.json"
+        result = run_cli(
+            "monitor", "--taxonomy", TAXONOMY, "--spec", NEGATED_SPEC,
+            "--trace", DROPOUT_TRACE, "--report", str(report),
+        )
+        assert result.returncode == 0
+        assert result.stdout == (GOLDEN / "dropout_monitor.txt").read_text()
+        assert result.stderr == ""
+        assert report.read_text() == (GOLDEN / "dropout_report.json").read_text()
+        # content check on top of stability: the golden names unmeasured
+        # atoms, and never the atom under the negation, which is False on
+        # every sample but the rural one
+        events = json.loads(report.read_text())["events"]
+        assert {e["kind"] for e in events if e["unknown"]} >= {"exit", "unknown_start"}
+        assert all("road_type == rural" not in e["falsified"] for e in events)
 
     def test_enumerate_golden_matches_worked_example(self):
         # content check on top of stability: exactly the six-tuple domain

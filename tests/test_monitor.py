@@ -42,7 +42,7 @@ from oracles import (
     space_of,
 )
 
-from oddspec.evaluator import _fold
+from oddspec.evaluator import _fold, _ranks, _retest
 
 FLAG_TAXONOMY = Taxonomy((Attribute("flag", BoolType()),), version="flag1")
 FLAG_ATOM = Atom("flag", Predicate.EQ, True)
@@ -483,7 +483,8 @@ def _snapshot(state):
     return (
         state.last_verdict, state.last_t, dict(state.counts), dict(state.dwell),
         state.last_values, list(state.last_ranks), list(state.node_ranks),
-        list(state.violations), list(state.run_starts),
+        list(state.falsified), list(state.unknown), list(state.violations),
+        list(state.run_starts),
     )
 
 
@@ -717,3 +718,53 @@ class TestNodeTable:
             assert state.node_ranks[conjunction] == 0
             assert state.node_ranks[-1] == 2
             assert (verdict, events) == (Verdict.TRUE, [])
+
+
+_RANK_OF = {name: rank for rank, name in enumerate(_VERDICT_NAMES)}
+
+
+class TestAtomFlags:
+    """The per-atom flags an event's diagnosis is read from, and the list of
+    moved atoms they are updated from, against a full evaluation of every
+    sample."""
+
+    @pytest.mark.parametrize("base", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_flags_and_diagnoses_over_changing_rows(self, base):
+        taxonomy = _with_spare(base)
+        rng = random.Random("flags " + base.version)
+        orders = label_orders_of(taxonomy)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        for _ in range(6):
+            spec = check_spec(random_spec(rng, base, 6), taxonomy)
+            state = monitor_init(spec, taxonomy)
+            for i, row in enumerate(_changing_rows(rng, spaces, 80)):
+                sample = make_lod(taxonomy, row, t=float(i))
+                _, _, events = monitor_step(state, sample)
+                ranks = [_RANK_OF[eval_kleene(atom, row, orders)] for atom in spec.atoms]
+                assert state.falsified == [b and r == 0 for r, b in zip(ranks, spec.blame)]
+                assert state.unknown == [r == 1 for r in ranks]
+                for event in events:
+                    assert event.diagnosis == diagnose(spec, sample)
+
+    @pytest.mark.parametrize("base", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_retest_lists_exactly_the_moved_atoms(self, base):
+        taxonomy = _with_spare(base)
+        rng = random.Random("moved " + base.version)
+        spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
+        for _ in range(6):
+            spec = check_spec(random_spec(rng, base, 6), taxonomy)
+            size = len(spec.atoms)
+            last_values, last_ranks = (UNKNOWN,) * len(taxonomy), [1] * size
+            for row in _changing_rows(rng, spaces, 80):
+                values = make_lod(taxonomy, row).values
+                full = _ranks(spec.groups, size, values)
+                kept = list(last_ranks)
+                moved = []
+                ranks = _retest(spec.groups, values, last_values, last_ranks, moved)
+                assert ranks == full
+                assert len(moved) == len(set(moved))
+                assert set(moved) == {i for i in range(size) if full[i] != kept[i]}
+                # the last row is copied before a write, and only then
+                assert last_ranks == kept
+                assert (ranks is last_ranks) == (not moved)
+                last_values, last_ranks = values, ranks
