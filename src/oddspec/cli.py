@@ -10,7 +10,6 @@ it is. A reader that closes standard output early is not an error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ from typing import Iterator
 from .domain import enumerate_od, iter_trace, parse_lod
 from .errors import OddspecError
 from .evaluator import count_odd, diagnose, enumerate_odd
-from .monitor import EventKind, monitor_init, monitor_step, render_report, report_from_state
+from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import WellFormedSpec, check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import _TAG_OF, _TYPE_TAGS, EnumType, Taxonomy, domain_cardinality, parse_taxonomy
 
@@ -126,8 +125,7 @@ def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     report = report_from_state(state, events)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as file:
-            json.dump(render_report(report), file, indent=2)
-            file.write("\n")
+            file.write(report_json(report))
     exited = any(event.kind is EventKind.EXIT for event in report.events)
     if args.fail_on_exit and exited:
         return 3

@@ -24,6 +24,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -64,7 +65,7 @@ def is_unknown(value: AttributeValue) -> bool:
     return value is UNKNOWN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Lod:
     """One domain sample: values in taxonomy attribute order, at time ``t``
     and place ``(x, y)``. Every way of building a sample ends in this check
@@ -77,15 +78,22 @@ class Lod:
     y: float
     values: tuple[AttributeValue, ...]
 
-    def __post_init__(self):
-        if type(self.values) is not tuple:
-            object.__setattr__(self, "values", tuple(self.values))
-        if type(self.t) is not float or not 0 <= self.t <= _FLOAT_MAX:
-            object.__setattr__(self, "t", _number("time", self.t))
-        if type(self.x) is not float or not abs(self.x) <= _FLOAT_MAX:
-            object.__setattr__(self, "x", _number("'x'", self.x))
-        if type(self.y) is not float or not abs(self.y) <= _FLOAT_MAX:
-            object.__setattr__(self, "y", _number("'y'", self.y))
+    def __init__(self, t: float, x: float, y: float, values: Iterable[AttributeValue]):
+        if type(values) is not tuple:
+            values = tuple(values)
+        if type(t) is not float or not 0 <= t <= _FLOAT_MAX:
+            t = _number("time", t)
+        if type(x) is not float or not abs(x) <= _FLOAT_MAX:
+            x = _number("'x'", x)
+        if type(y) is not float or not abs(y) <= _FLOAT_MAX:
+            y = _number("'y'", y)
+        # written past the frozen __setattr__, which would cost a call per
+        # field; the instance then holds a dict of its own, 64 bytes more
+        fields = self.__dict__
+        fields["t"] = t
+        fields["x"] = x
+        fields["y"] = y
+        fields["values"] = values
 
 
 def _number(name: str, value) -> float:
@@ -110,7 +118,7 @@ class Trace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        for earlier, later in zip(self.samples, self.samples[1:]):
+        for earlier, later in pairwise(self.samples):
             if not later.t > earlier.t:
                 raise TraceError(
                     f"timestamps must be strictly increasing: {later.t} after {earlier.t}"
@@ -152,7 +160,7 @@ def make_lod(
                 f"value {_shown(value)} is outside the domain of attribute {name!r}"
             )
         values[position] = stored
-    return Lod(t=t, x=x, y=y, values=tuple(values))
+    return Lod(t, x, y, tuple(values))
 
 
 def value_space(attribute: Attribute) -> Sequence[AttributeValue]:

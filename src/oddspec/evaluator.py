@@ -54,7 +54,7 @@ def kleene_and(left: Verdict, right: Verdict) -> Verdict:
     return _VERDICT[min(_RANK[left], _RANK[right])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Diagnosis:
     """Per-atom breakdown of a verdict.
 
@@ -68,12 +68,21 @@ class Diagnosis:
     falsified_atoms: tuple[Atom, ...]
     unknown_atoms: tuple[Atom, ...]
 
+    def __init__(
+        self, verdict: Verdict, falsified_atoms: tuple[Atom, ...], unknown_atoms: tuple[Atom, ...]
+    ):
+        # written past the frozen __setattr__, as Lod's are
+        fields = self.__dict__
+        fields["verdict"] = verdict
+        fields["falsified_atoms"] = falsified_atoms
+        fields["unknown_atoms"] = unknown_atoms
+
 
 def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
-    if len(lod.values) != len(taxonomy):
+    if len(lod.values) != len(taxonomy.attributes):
         raise EvaluationError(
             f"sample has {len(lod.values)} values but the taxonomy declares "
-            f"{len(taxonomy)} attributes"
+            f"{len(taxonomy.attributes)} attributes"
         )
 
 

@@ -32,12 +32,20 @@ class EventKind(enum.Enum):
     UNKNOWN_END = "unknown_end"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonitorEvent:
     kind: EventKind
     t: float
     sample_index: int
     diagnosis: Diagnosis
+
+    def __init__(self, kind: EventKind, t: float, sample_index: int, diagnosis: Diagnosis):
+        # written past the frozen __setattr__, as Lod's are
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["t"] = t
+        fields["sample_index"] = sample_index
+        fields["diagnosis"] = diagnosis
 
 
 # Events per (previous verdict, new verdict); None means before any sample.

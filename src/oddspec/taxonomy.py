@@ -123,10 +123,12 @@ class RealType:
         """A finite number (not a ``bool``) within the bounds, as a ``float``."""
         if isinstance(value, (float, int)) and not isinstance(value, bool):
             low, high = self.minimum, self.maximum
+            # the bounds are finite floats, so NaN, an infinity and an int
+            # past the largest float all fail this one comparison
             if (
-                -_FLOAT_MAX <= value <= _FLOAT_MAX
-                and (low is None or not value < low)
-                and (high is None or not value > high)
+                (-_FLOAT_MAX if low is None else low)
+                <= value
+                <= (_FLOAT_MAX if high is None else high)
             ):
                 return float(value)
         return _REJECT

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -419,8 +420,21 @@ def test_lod_time_invariant():
 def test_lod_stores_floats_and_a_tuple():
     lod = Lod(t=1, x=0, y=-2, values=["motorway", False])
     assert [type(field) for field in (lod.t, lod.x, lod.y, lod.values)] == [float] * 3 + [tuple]
+    assert (lod.t, lod.values) == (1.0, ("motorway", False))
     same = Lod(t=1.0, x=0.0, y=-2.0, values=("motorway", False))
     assert lod == same and hash(lod) == hash(same)
+    assert Lod(1, 0, -2, ["motorway", False]) == same
+
+
+def test_replace_checks_a_lod_as_its_constructor_does():
+    lod = Lod(1.0, 0.0, 0.0, ("motorway", False))
+    with pytest.raises(LodError, match="time must be a non-negative number"):
+        dataclasses.replace(lod, t=-1)
+    with pytest.raises(LodError, match="'y' must be a finite number"):
+        dataclasses.replace(lod, y=math.inf)
+    moved = dataclasses.replace(lod, x=3, values=["rural", True])
+    assert moved == Lod(1.0, 3.0, 0.0, ("rural", True))
+    assert type(moved.x) is float and type(moved.values) is tuple
 
 
 HUGE = 10**5000  # past the 4300 digits str() and repr() write

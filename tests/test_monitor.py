@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -8,12 +10,14 @@ from oddspec import (
     Atom,
     Attribute,
     BoolType,
+    Diagnosis,
     IntType,
     EvaluationError,
     EnumType,
     EventKind,
     Lod,
     MonitorError,
+    MonitorEvent,
     MonitorState,
     Predicate,
     Taxonomy,
@@ -768,3 +772,75 @@ class TestAtomFlags:
                 assert last_ranks == kept
                 assert (ranks is last_ranks) == (not moved)
                 last_values, last_ranks = values, ranks
+
+
+
+_DIAGNOSIS = Diagnosis(Verdict.FALSE, (FLAG_ATOM,), ())
+# (class, its field names in order, the arguments of one instance, and of
+# another that differs from it in the last field)
+_VALUE_OBJECTS = [
+    (Lod, ("t", "x", "y", "values"), (1.5, -2.0, 3.0, (True, UNKNOWN)), (1.5, -2.0, 3.0, (True,))),
+    (
+        Diagnosis,
+        ("verdict", "falsified_atoms", "unknown_atoms"),
+        (Verdict.UNKNOWN, (FLAG_ATOM,), (Atom("flag", Predicate.EQ, False),)),
+        (Verdict.UNKNOWN, (FLAG_ATOM,), ()),
+    ),
+    (
+        MonitorEvent,
+        ("kind", "t", "sample_index", "diagnosis"),
+        (EventKind.EXIT, 4.0, 3, _DIAGNOSIS),
+        (EventKind.EXIT, 4.0, 3, Diagnosis(Verdict.UNKNOWN, (), (FLAG_ATOM,))),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, args, other", _VALUE_OBJECTS, ids=[entry[0].__name__ for entry in _VALUE_OBJECTS]
+)
+class TestValueObjects:
+    """A sample, a diagnosis and an event are frozen, hashable values,
+    whatever their constructors do to build them fast."""
+
+    def test_fields_in_order(self, cls, names, args, other):
+        assert tuple(field.name for field in dataclasses.fields(cls)) == names
+
+    def test_keyword_and_positional_construction_agree(self, cls, names, args, other):
+        positional = cls(*args)
+        keyword = cls(**dict(zip(names, args)))
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert tuple(getattr(positional, name) for name in names) == args
+
+    def test_equal_values_compare_and_hash_equal(self, cls, names, args, other):
+        first, second = cls(*args), cls(*args)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, cls(*other)}) == 2
+        assert cls(*other) != first
+
+    def test_assignment_is_refused(self, cls, names, args, other):
+        value = cls(*args)
+        for name, arg in zip(names, args):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, arg)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert value == cls(*args)
+
+    def test_repr_names_every_field(self, cls, names, args, other):
+        shown = ", ".join(f"{name}={arg!r}" for name, arg in zip(names, args))
+        assert repr(cls(*args)) == f"{cls.__name__}({shown})"
+
+    def test_pickle_round_trip(self, cls, names, args, other):
+        value = cls(*args)
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+        assert repr(copy) == repr(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copy, names[0], args[0])
+
+    def test_replace_builds_a_new_value(self, cls, names, args, other):
+        value = cls(*args)
+        assert dataclasses.replace(value) == value
+        changed = dataclasses.replace(value, **{names[-1]: other[-1]})
+        assert changed == cls(*other) and value == cls(*args)
