@@ -16,9 +16,9 @@ import sys
 import warnings
 from typing import Iterator
 
-from .domain import enumerate_od, iter_trace, parse_lod
+from .domain import _product, iter_trace, parse_lod, value_spaces
 from .errors import OddspecError
-from .evaluator import count_odd, diagnose, enumerate_odd
+from .evaluator import Verdict, _admitting_prefixes, count_odd, diagnose
 from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import WellFormedSpec, check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import _TAG_OF, _TYPE_TAGS, EnumType, Taxonomy, domain_cardinality, parse_taxonomy
@@ -104,21 +104,53 @@ def cmd_eval(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     return 0
 
 
+class _Rendered:
+    """The texts of an int range, rendered as they are iterated, so that a
+    range of any width is never held."""
+
+    def __init__(self, values: range):
+        self.values = values
+
+    def __iter__(self) -> Iterator[str]:
+        return map(render_value, self.values)
+
+
+def _listing(taxonomy: Taxonomy, spec: WellFormedSpec | None) -> Iterator[str]:
+    """The lines of ``enumerate_od`` or ``enumerate_odd``: the same walk and
+    the same product, over the values' texts, so that each admitted prefix
+    is rendered once."""
+    spaces = value_spaces(taxonomy)
+    texts = [
+        _Rendered(space) if isinstance(space, range) else tuple(map(render_value, space))
+        for space in spaces
+    ]
+    # main checked the spec against this taxonomy, which is enumerate_odd's first check
+    prefixes = [([], 0)] if spec is None else _admitting_prefixes(spec, spaces, range(len(spaces)))
+    for values, depth in prefixes:
+        head = ",".join(map(render_value, values[:depth]))
+        if 0 < depth < len(spaces):
+            head += ","
+        for rest in _product(texts[depth:]):
+            yield head + ",".join(rest) + "\n"
+
+
 def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
-    tuples = enumerate_od(taxonomy) if spec is None else enumerate_odd(taxonomy, spec)
-    for values in tuples:
-        print(",".join(render_value(v) for v in values))
+    sys.stdout.writelines(_listing(taxonomy, spec))
     return 0
+
+
+_VERDICT_LINE = {verdict: f" verdict={verdict.value}\n" for verdict in Verdict}
 
 
 def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     state = monitor_init(spec, taxonomy)
     events = []
+    write = sys.stdout.write
     for sample in iter_trace(_lines(args.trace), taxonomy):
         _, verdict, step_events = monitor_step(state, sample)
         events.extend(step_events)
         try:
-            print(f"t={render_value(sample.t)} verdict={verdict.value}")
+            write(f"t={render_value(sample.t)}{_VERDICT_LINE[verdict]}")
         except BrokenPipeError:
             # the status and the report describe the whole trace, so the fold goes on
             _drop_stdout()

@@ -235,35 +235,50 @@ def _product(spaces: Sequence[Sequence[AttributeValue]]) -> Iterator[tuple[Attri
 
 
 _RECORD_KEYS = {"t", "x", "y", "values"}
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str, lineno: int):
+    """``json.loads(line)``, with a refusal as a ``TraceError``. A line that
+    is one value and then only JSON whitespace takes one C call; any other
+    goes through ``json.loads``, so that its errors stay json's own."""
+    try:
+        value, end = _raw_decode(line)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except (ValueError, RecursionError, TypeError):  # TypeError: bytes, which json.loads reads
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _line_error(lineno, exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+        raise _line_error(lineno, f"unreadable JSON: {exc}") from exc
+
+
+def _line_error(lineno: int, message: str) -> TraceError:
+    return TraceError(f"line {lineno}: {message}")
 
 
 def _parse_record(line: str, lineno: int, taxonomy: Taxonomy) -> Lod:
-    def fail(message: str) -> TraceError:
-        return TraceError(f"line {lineno}: {message}")
-
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise fail(exc.msg) from exc
-    except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
-        raise fail(f"unreadable JSON: {exc}") from exc
+    record = _decode(line, lineno)
     if not isinstance(record, dict):
-        raise fail("expected a JSON object")
+        raise _line_error(lineno, "expected a JSON object")
     if record.keys() != _RECORD_KEYS:
         missing = _RECORD_KEYS - record.keys()
         if missing:
-            raise fail(f"missing keys {sorted(missing)}")
-        raise fail(f"unexpected keys {sorted(record.keys() - _RECORD_KEYS)}")
+            raise _line_error(lineno, f"missing keys {sorted(missing)}")
+        raise _line_error(lineno, f"unexpected keys {sorted(record.keys() - _RECORD_KEYS)}")
     try:
         # Lod's check, but naming the record's key 't' where Lod says "time"
         t = _number("'t'", record["t"])
         x = _number("'x'", record["x"])
         y = _number("'y'", record["y"])
         if not isinstance(record["values"], dict):
-            raise fail("'values' must be an object")
+            raise _line_error(lineno, "'values' must be an object")
         return make_lod(taxonomy, record["values"], t=t, x=x, y=y)
     except LodError as exc:
-        raise fail(str(exc)) from exc
+        raise _line_error(lineno, str(exc)) from exc
 
 
 def parse_lod(text: str, taxonomy: Taxonomy) -> Lod:
@@ -284,7 +299,7 @@ def iter_trace(lines: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Iterator
         lines = io.StringIO(lines, newline="")
     last_t = None
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         sample = _parse_record(line, lineno, taxonomy)
         if last_t is not None and not sample.t > last_t:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,9 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddspec import (
+    And,
+    Atom,
+    Attribute,
+    BoolType,
+    IntType,
     OddspecError,
+    Predicate,
+    Taxonomy,
     TraceError,
     check_spec,
+    enumerate_od,
+    enumerate_odd,
     eval_spec,
     parse_spec,
     parse_taxonomy,
@@ -22,8 +32,11 @@ from oddspec import (
     render_value,
     report_json,
     run_monitor,
+    serialize_spec,
+    serialize_taxonomy,
 )
-from oddspec.cli import main
+from oddspec.cli import cmd_enumerate, main
+from oracles import SPEC_FAMILY, TAXONOMY_FAMILY, random_spec
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -144,6 +157,68 @@ class TestGoldenOutputs:
         assert result.stderr == ""
 
 
+def _listed(taxonomy, spec=None):
+    """The lines the library's enumeration gives, written as values."""
+    tuples = enumerate_od(taxonomy) if spec is None else enumerate_odd(taxonomy, spec)
+    return "".join(",".join(map(render_value, values)) + "\n" for values in tuples)
+
+
+_FAMILY = {taxonomy.version: taxonomy for taxonomy in TAXONOMY_FAMILY}
+# without a spec the empty taxonomy f0 lists one empty line
+_LISTING_CASES = [(taxonomy, None) for taxonomy in TAXONOMY_FAMILY] + [
+    (taxonomy, serialize_spec(random_spec(random.Random(f"{taxonomy.version}:{k}"), taxonomy, 4)))
+    for taxonomy in SPEC_FAMILY
+    for k in range(4)
+] + [
+    # an admitted prefix that assigns every attribute: its line ends without a comma
+    (_FAMILY["f5"], "road == motorway and busy == false"),
+    (_FAMILY["f11"], "b1 == true and b2 == false and b3 == true and b4 == true"),
+]
+
+
+@pytest.mark.parametrize(
+    "taxonomy, spec", _LISTING_CASES, ids=[f"{t.version}:{s}" for t, s in _LISTING_CASES]
+)
+def test_enumerate_prints_exactly_the_library_tuples(tmp_path, capsys, taxonomy, spec):
+    taxonomy_path = tmp_path / "taxonomy.json"
+    taxonomy_path.write_text(serialize_taxonomy(taxonomy))
+    argv = ["enumerate", "--taxonomy", str(taxonomy_path)]
+    checked = None
+    if spec is not None:
+        (tmp_path / "odd.spec").write_text(spec)
+        argv += ["--spec", str(tmp_path / "odd.spec")]
+        checked = check_spec(parse_spec(spec), taxonomy)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _listed(taxonomy, checked)
+    assert captured.err == ""
+
+
+def test_enumerate_writes_ints_past_the_str_digit_limit(capsys):
+    # a taxonomy refuses a bound that str() cannot write, so the bounds are
+    # set with the limit lifted and listed with it back: render_value then
+    # writes them through Decimal, in an admitted prefix and in a completion
+    low = 10**4400
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        taxonomy = Taxonomy((
+            Attribute("a", IntType(minimum=low, maximum=low + 2)),
+            Attribute("b", BoolType()),
+            Attribute("c", IntType(minimum=low, maximum=low + 1)),
+        ))
+        atoms = Atom("a", Predicate.GE, low + 1), Atom("b", Predicate.EQ, True)
+        spec = check_spec(And(*atoms), taxonomy)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for checked, count in ((None, 12), (spec, 4)):
+        assert cmd_enumerate(None, taxonomy, checked) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == _listed(taxonomy, checked).splitlines()
+        assert len(lines) == count
+        assert lines[0].endswith(",true,1" + "0" * 4400)
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self):
         result = run_cli("validate", "--taxonomy", "no/such/file.json")
@@ -256,12 +331,13 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert not report.exists()
 
-    def test_enumerate_into_a_closed_pipe_ends_cleanly(self, tmp_path):
-        # a reader of a listing may stop at any line, as `| head -3` does
-        taxonomy = _wide_taxonomy(tmp_path, 10**12)
-        argv = [sys.executable, "-m", "oddspec", "enumerate", "--taxonomy", str(taxonomy)]
+    @staticmethod
+    def _read_three_lines_and_close(argv):
+        """Run the CLI, read three lines of its output and close the pipe;
+        the lines, the exit status and standard error."""
         with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-m", "oddspec", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         ) as child:
             lines = [child.stdout.readline() for _ in range(3)]
             child.stdout.close()
@@ -270,10 +346,24 @@ class TestExitCodes:
             except subprocess.TimeoutExpired:
                 child.kill()
                 raise
-            stderr = child.stderr.read()
-        assert lines == ["0,true\n", "0,false\n", "1,true\n"]
-        assert returncode == 0
-        assert stderr == ""
+            return lines, returncode, child.stderr.read()
+
+    def test_enumerate_into_a_closed_pipe_ends_cleanly(self, tmp_path):
+        # a reader of a listing may stop at any line, as `| head -3` does
+        taxonomy = _wide_taxonomy(tmp_path, 10**12)
+        assert self._read_three_lines_and_close(["enumerate", "--taxonomy", str(taxonomy)]) == (
+            ["0,true\n", "0,false\n", "1,true\n"], 0, ""
+        )
+
+    def test_enumerate_odd_into_a_closed_pipe_ends_cleanly(self, tmp_path):
+        # the listing of a spec streams too: the prefix walk never ends here
+        taxonomy = _wide_taxonomy(tmp_path, 10**12)
+        spec = tmp_path / "wide.spec"
+        spec.write_text("b == true\n")
+        argv = ["enumerate", "--taxonomy", str(taxonomy), "--spec", str(spec)]
+        assert self._read_three_lines_and_close(argv) == (
+            ["0,true\n", "1,true\n", "2,true\n"], 0, ""
+        )
 
     def test_monitor_into_a_closed_pipe_folds_the_whole_trace(self, tmp_path):
         # the exit status and the report depend on the whole trace, so a
@@ -558,7 +648,11 @@ SPEC_WORDS = [
     "==", "<", ">=", "=", "and", "or", "not", "(", ")", "true", "false",
     "60", "-3.5", "7.", "kmh", "#", "\n", "\u00b2", HUGE,
 ]
-RECORD_PARTS = GOOD_RECORDS + ['{"t": ', HUGE, "1e400", "null", "}", "[", "\n", '"values": {}']
+RECORD_PARTS = GOOD_RECORDS + [
+    '{"t": ', HUGE, "1e400", "null", "}", "[", "\n", '"values": {}',
+    # JSON whitespace, whitespace only to str.isspace(), and a BOM
+    "\t", "\f", "\v", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\ufeff",
+]
 
 
 _BROKEN_LABEL = GOOD_RECORDS[1].replace('"rural"', '"ru\u2028ral"')

@@ -327,6 +327,63 @@ def test_parse_lod_single_record(finite_taxonomy):
     assert lod.t == 1.5
 
 
+# An unbounded int reads any integer json.loads gives.
+_COUNTING = Taxonomy((
+    Attribute("road_type", EnumType(("motorway", "rural"))),
+    Attribute("count", IntType()),
+))
+_RECORD = '{"t": 1.5, "x": -2, "y": 3.25, "values": {"road_type": "rural", "count": %s}}'
+# JSON whitespace, and characters that str.isspace() and str.strip() take
+# for whitespace but json.loads refuses after a value as "Extra data"
+_AFTER_A_RECORD = [
+    "", "\n", " \r\n", "\t", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2028", " x", "{}",
+]
+_DECODED_LINES = [(f"after {after!r}", _RECORD % 7 + after) for after in _AFTER_A_RECORD] + [
+    ("two spaces before", "  " + _RECORD % 7),
+    ("BOM before", "\ufeff" + _RECORD % 7),
+    ("deep array", _RECORD % ("[" * 100_000 + "]" * 100_000)),
+    ("huge int", _RECORD % ("9" * 5000)),
+]
+
+
+def _assert_decodes_as_json_loads(line):
+    """parse_lod accepts the line where json.loads does, with make_lod's
+    sample, and refuses it with json's own message where json.loads does."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        expected = f"line 1: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        expected = f"line 1: unreadable JSON: {exc}"
+    else:
+        lod = make_lod(_COUNTING, record["values"], record["t"], record["x"], record["y"])
+        assert parse_lod(line, _COUNTING) == lod
+        assert parse_lod(line.encode(), _COUNTING) == lod  # json.loads reads bytes too
+        assert list(iter_trace([line], _COUNTING)) == [lod]
+        return
+    with pytest.raises(TraceError) as error:
+        parse_lod(line, _COUNTING)
+    assert str(error.value) == expected
+
+
+@pytest.mark.parametrize("line", [line for _, line in _DECODED_LINES],
+                         ids=[name for name, _ in _DECODED_LINES])
+def test_a_record_line_decodes_as_json_loads_does(line):
+    _assert_decodes_as_json_loads(line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    around=st.lists(
+        st.text(st.sampled_from(" \t\n\r\f\v\x1c\x1f\x85\xa0\u2028\ufeffx{"), max_size=3),
+        min_size=2, max_size=2,
+    )
+)
+def test_text_around_a_record_decodes_as_json_loads_does(around):
+    _assert_decodes_as_json_loads(around[0] + _RECORD % 7 + around[1])
+
+
 class TestTraceRoundTrip:
     def test_identity_on_fixture(self, finite_taxonomy):
         trace = parse_trace(TRACE_TEXT, finite_taxonomy)
