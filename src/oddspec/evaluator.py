@@ -29,7 +29,7 @@ from .errors import (
     SpecCheckError,
     UnknownValueError,
 )
-from .specdsl import Atom, Group, Plan, WellFormedSpec, _check_atom
+from .specdsl import Atom, Group, WellFormedSpec, _check_atom
 from .taxonomy import Taxonomy, _check_binding, _type_cardinality
 
 
@@ -108,22 +108,6 @@ def _retest(
     return ranks
 
 
-def _ranks(groups: Sequence[Group], size: int, values: Sequence) -> list[int]:
-    """The ranks of ``size`` atoms on ``values``, from the all-Unknown row:
-    every atom has rank 1 there, and only the measured positions differ."""
-    return _retest(groups, values, (UNKNOWN,) * len(values), [1] * size, [])
-
-
-def _fold(plan: Plan, ranks: list[int]) -> int:
-    """Kleene-fold a compiled plan over its atom ranks. A False (0) left
-    operand decides a conjunction, so its right operand is not folded."""
-    if type(plan) is int:
-        return ranks[plan]
-    if len(plan) == 1:
-        return 2 - _fold(plan[0], ranks)
-    return (left := _fold(plan[0], ranks)) and min(left, _fold(plan[1], ranks))
-
-
 def _lift(spec: WellFormedSpec, node_ranks: list[int], atom_index: int, rank: int) -> None:
     """Give atom ``atom_index`` the rank ``rank`` in ``node_ranks``, one
     rank per node of the spec's node table, each consistent with its
@@ -141,6 +125,25 @@ def _lift(spec: WellFormedSpec, node_ranks: list[int], atom_index: int, rank: in
             if node_ranks[node] == new:
                 break
             node_ranks[node] = new
+
+
+def _relift(spec: WellFormedSpec, groups, values, last_values, ranks, node_ranks) -> list[int]:
+    """``_retest`` the atoms of ``groups`` and ``_lift`` each one that moves
+    into ``node_ranks``; returns the atom ranks on ``values``."""
+    moved: list[int] = []
+    ranks = _retest(groups, values, last_values, ranks, moved)
+    for atom_index in moved:
+        _lift(spec, node_ranks, atom_index, ranks[atom_index])
+    return ranks
+
+
+def _evaluate(spec: WellFormedSpec, values) -> tuple[list[int], list[int]]:
+    """The atom ranks and the node ranks of ``spec`` on ``values``, from the
+    all-Unknown row, on which every atom and every node has rank 1; the
+    root's rank, ``node_ranks[-1]``, is the verdict."""
+    node_ranks = [1] * len(spec.parents)
+    unknown = (UNKNOWN,) * len(values)
+    return _relift(spec, spec.groups, values, unknown, [1] * len(spec.atoms), node_ranks), node_ranks
 
 
 def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
@@ -167,7 +170,8 @@ def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
         raise EvaluationError(
             f"cannot compare: {exc}; was the spec checked against this taxonomy?"
         ) from None
-    return _VERDICT[_ranks(((index, ((0, test, literal),)),), 1, lod.values)[0]]
+    unknown = (UNKNOWN,) * len(lod.values)
+    return _VERDICT[_retest(((index, ((0, test, literal),)),), lod.values, unknown, [1], [])[0]]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
@@ -178,7 +182,7 @@ def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
     checked, its values are trusted.
     """
     _check_arity(lod, spec.taxonomy)
-    return _VERDICT[_fold(spec.plan, _ranks(spec.groups, len(spec.atoms), lod.values))]
+    return _VERDICT[_evaluate(spec, lod.values)[1][-1]]
 
 
 def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
@@ -189,11 +193,11 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
             then undefined, not false.
     """
     _check_arity(lod, spec.taxonomy)
-    ranks = _ranks(spec.groups, len(spec.atoms), lod.values)
+    ranks, node_ranks = _evaluate(spec, lod.values)
     if 1 in ranks:
         name = spec.atoms[ranks.index(1)].attribute_name
         raise UnknownValueError(f"attribute {name!r} is unmeasured; membership is undefined")
-    return _fold(spec.plan, ranks) == 2
+    return node_ranks[-1] == 2
 
 
 def _admitting_prefixes(
@@ -213,24 +217,32 @@ def _admitting_prefixes(
     spec mentions is assigned the verdict is decided, so the walk never
     descends past the last of them. The walk is a loop over a stack of
     value iterators, one per assigned position, never a recursion.
+
+    One row of atom ranks and one of node ranks serve the whole walk.
+    Assigning a value re-tests only its position's atoms, as no value
+    equals ``UNKNOWN``, and releasing it re-tests them on ``UNKNOWN``; the
+    atoms that move are lifted.
     """
-    groups, plan = spec.groups, spec.plan
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
-    unknown, ones = tuple(values), [1] * len(spec.atoms)
+    unknown = tuple(values)
+    groups = {group[0]: (group,) for group in spec.groups}
+    ranks, node_ranks = [1] * len(spec.atoms), [1] * len(spec.parents)
     # a checked spec has an atom, so spaces is not empty and the root is Unknown
     stack = [iter(spaces[order[0]])]
     while stack:
         depth = len(stack)
         position = order[depth - 1]
+        group = groups.get(position, ())
         for value in stack[-1]:
             values[position] = value
-            rank = _fold(plan, _retest(groups, values, unknown, ones, []))
-            if rank == 2:
+            ranks = _relift(spec, group, values, unknown, ranks, node_ranks)
+            if (rank := node_ranks[-1]) == 2:
                 yield values, depth
             elif rank == 1:
                 stack.append(iter(spaces[order[depth]]))
                 break
         else:
+            ranks = _relift(spec, group, unknown, values, ranks, node_ranks)
             values[position] = UNKNOWN
             stack.pop()
 
@@ -281,17 +293,11 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    ranks = _ranks(spec.groups, len(spec.atoms), lod.values)
-    return _diagnosis(spec, ranks, _fold(spec.plan, ranks))
-
-
-def _diagnosis(spec: WellFormedSpec, ranks: list[int], root: int) -> Diagnosis:
-    """The diagnosis of a sample whose atom ranks are ``ranks`` and whose
-    spec has the rank ``root`` on them: it depends on nothing else."""
+    ranks, node_ranks = _evaluate(spec, lod.values)
     falsified, unknown = [], []
     for atom, rank, blamed in zip(spec.atoms, ranks, spec.blame):
         if rank == 0 and blamed:
             falsified.append(atom)
         elif rank == 1:
             unknown.append(atom)
-    return Diagnosis(_VERDICT[root], tuple(falsified), tuple(unknown))
+    return Diagnosis(_VERDICT[node_ranks[-1]], tuple(falsified), tuple(unknown))

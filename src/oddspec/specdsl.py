@@ -82,7 +82,6 @@ SpecAst = Union[Atom, Not, And]
 Test = Callable[[object, object], bool]
 Probe = tuple[int, Test, object]  # (value index, test, literal)
 Group = tuple[int, tuple[tuple[int, Test, object], ...]]  # see WellFormedSpec.groups
-Plan = Union[int, tuple]
 
 
 @dataclass(frozen=True)
@@ -98,28 +97,25 @@ class WellFormedSpec:
 
     ``check_spec`` compiles the tree once. ``atoms`` are the distinct atoms
     in first-occurrence order; ``blame[i]`` is true when atom ``i`` occurs
-    under an even number of negations. ``plan`` is the tree over atom
-    positions: an int is an atom, a 1-tuple negates its element and a
-    2-tuple conjoins its two; ``not not`` chains are folded away, so no
-    1-tuple holds another. ``groups`` is the one table of compiled atom
-    tests: one ``(value index, ((atom index, test, literal), ...))`` per
-    mentioned attribute, in value-index order, where ``test(literal,
-    value)`` is the atom's truth on a measured value.
+    under an even number of negations. ``groups`` is the one table of
+    compiled atom tests: one ``(value index, ((atom index, test, literal),
+    ...))`` per mentioned attribute, in value-index order, where
+    ``test(literal, value)`` is the atom's truth on a measured value.
 
-    ``parents``, ``children`` and ``leaves`` are the plan as a flat node
+    ``parents``, ``children`` and ``leaves`` are the tree as a flat node
     table, numbered in post-order, so the root is the last node: a leaf is
     one occurrence of an atom and has no children, a negation has one
-    child and a conjunction two. ``parents[n]`` is -1 for the root, and
-    ``leaves[i]`` lists the leaves of atom ``i``, which may be several, of
-    either polarity. The monitor updates node ranks upward along it.
-    ``mentioned_attributes`` is derived from ``atoms``.
+    child and a conjunction two. ``not not`` chains are folded out of the
+    table, so no negation's child is a negation. ``parents[n]`` is -1 for
+    the root, and ``leaves[i]`` lists the leaves of atom ``i``, which may
+    be several, of either polarity. Every evaluation computes node ranks
+    upward along it. ``mentioned_attributes`` is derived from ``atoms``.
     """
 
     ast: SpecAst
     taxonomy: Taxonomy
     atoms: tuple[Atom, ...] = field(compare=False, repr=False)
     blame: tuple[bool, ...] = field(compare=False, repr=False)
-    plan: Plan = field(compare=False, repr=False)
     groups: tuple[Group, ...] = field(compare=False, repr=False)
     parents: tuple[int, ...] = field(compare=False, repr=False)
     children: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -323,17 +319,17 @@ def parse_spec(text: str) -> SpecAst:
 
 def _compile(
     ast: SpecAst,
-) -> tuple[list[Atom], list[bool], Plan, list[int], list[tuple], list[list[int]]]:
+) -> tuple[list[Atom], list[bool], list[int], list[tuple], list[list[int]]]:
     """One walk of the tree: its distinct atoms in first-occurrence order,
-    each atom's blame flag, the plan over atom positions and the plan's
-    node table (``WellFormedSpec.parents``, ``children`` and ``leaves``)."""
+    each atom's blame flag and its node table (``WellFormedSpec.parents``,
+    ``children`` and ``leaves``), with ``not not`` chains folded out."""
     positions: dict[Atom, int] = {}
     blame: list[bool] = []
     parents: list[int] = []
     children: list[tuple] = []
     leaves: list[list[int]] = []
 
-    def visit(node: SpecAst, positive: bool) -> Plan:
+    def visit(node: SpecAst, positive: bool) -> None:
         # post-order: a node is numbered after its children, so the node a
         # visit adds last is the root of its subtree
         if isinstance(node, Atom):
@@ -345,16 +341,15 @@ def _compile(
                 blame[position] = True
             leaves[position].append(len(parents))
             kids = ()
-            plan = position
         elif isinstance(node, Not):
             if isinstance(node.operand, Not):  # not not p folds to p
                 return visit(node.operand.operand, positive)
-            plan = (visit(node.operand, not positive),)
+            visit(node.operand, not positive)
             kids = (len(parents) - 1,)
         elif isinstance(node, And):
-            left = visit(node.left, positive)
+            visit(node.left, positive)
             left_node = len(parents) - 1
-            plan = (left, visit(node.right, positive))
+            visit(node.right, positive)
             kids = (left_node, len(parents) - 1)
         else:
             raise TypeError(f"not a spec node: {node!r}")
@@ -362,10 +357,9 @@ def _compile(
             parents[kid] = len(parents)
         parents.append(-1)
         children.append(kids)
-        return plan
 
-    plan = visit(ast, True)
-    return list(positions), blame, plan, parents, children, leaves
+    visit(ast, True)
+    return list(positions), blame, parents, children, leaves
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
@@ -461,7 +455,7 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
-    found, blame, plan, parents, children, leaves = _compile(ast)
+    found, blame, parents, children, leaves = _compile(ast)
     groups: dict[int, list] = {}
     # A plain loop, not a generator, so that RealEqualityWarning's
     # stacklevel names the caller of check_spec.
@@ -473,7 +467,6 @@ def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
         taxonomy=taxonomy,
         atoms=tuple(found),
         blame=tuple(blame),
-        plan=plan,
         groups=tuple((index, tuple(members)) for index, members in sorted(groups.items())),
         parents=tuple(parents),
         children=tuple(children),

@@ -301,6 +301,19 @@ TAXONOMY_FAMILY: list[Taxonomy] = [
 
 SPEC_FAMILY = [t for t in TAXONOMY_FAMILY if len(t) > 0]
 
+TRIO_TAXONOMY = Taxonomy(
+    (Attribute("a", _enum("x", "y")), Attribute("flag", BoolType()), Attribute("b", BoolType())),
+    version="trio1",
+)
+
+# specs over TRIO_TAXONOMY in which an atom occurs both positively and negatively
+BOTH_POLARITY_SPECS = [
+    "flag == true and not flag == true",
+    "not (a == x and not a == x) and a == x",
+    "a == x or not (a == x or flag == true) or not flag == true",
+    "not not (flag == true and b == true) and not (b == true and not not flag == true)",
+]
+
 
 def random_atom(rng: random.Random, taxonomy: Taxonomy) -> Atom:
     attribute = rng.choice(taxonomy.attributes)

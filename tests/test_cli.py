@@ -73,6 +73,7 @@ def _wide_taxonomy(directory, maximum):
 
 GOLDEN_CASES = [
     (["validate", "--taxonomy", TAXONOMY], "validate.txt"),
+    (["validate", "--taxonomy", FINITE, "--spec", FINITE_SPEC], "validate_odd.txt"),
     (["check", "--taxonomy", TAXONOMY, "--spec", SPEC], "check.txt"),
     (["eval", "--taxonomy", TAXONOMY, "--spec", SPEC, "--lod", LOD], "eval.txt"),
     (["enumerate", "--taxonomy", FINITE], "enumerate_od.txt"),

@@ -38,7 +38,9 @@ from oddspec import (
     value_space,
 )
 from oracles import (
+    BOTH_POLARITY_SPECS,
     SPEC_FAMILY,
+    TRIO_TAXONOMY,
     assignment_of,
     eval_kleene,
     eval_two_valued,
@@ -351,7 +353,7 @@ class TestPrunedEnumeration:
             assert list(enumerate_odd(taxonomy, spec)) == expected
             assert count_odd(taxonomy, spec) == len(expected)
 
-    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    @pytest.mark.parametrize("taxonomy", [*SPEC_FAMILY, TRIO_TAXONOMY], ids=lambda t: t.version)
     def test_fixed_specs_match_the_filtered_domain_in_order(self, taxonomy):
         rng = random.Random(f"pruned-fixed:{taxonomy.version}")
         first = random_atom(rng, taxonomy)
@@ -362,6 +364,9 @@ class TestPrunedEnumeration:
             "contradiction": (And(first, Not(first)), []),
             "last attribute only": (last, None),
         }
+        if taxonomy is TRIO_TAXONOMY:
+            # the walk releases an atom that has leaves of both polarities
+            cases.update((text, (parse_spec(text), None)) for text in BOTH_POLARITY_SPECS)
         for name, (ast, expected) in cases.items():
             oracle = _oracle_odd(taxonomy, ast)
             if expected is not None:

@@ -7,18 +7,19 @@ import random
 import pytest
 
 from oddspec import (
+    And,
     Atom,
     Attribute,
     BoolType,
     Diagnosis,
     IntType,
     EvaluationError,
-    EnumType,
     EventKind,
     Lod,
     MonitorError,
     MonitorEvent,
     MonitorState,
+    Not,
     Predicate,
     Taxonomy,
     Trace,
@@ -38,7 +39,9 @@ from oddspec import (
     run_monitor,
 )
 from oracles import (
+    BOTH_POLARITY_SPECS,
     SPEC_FAMILY,
+    TRIO_TAXONOMY,
     eval_kleene,
     label_orders_of,
     random_spec,
@@ -46,7 +49,7 @@ from oracles import (
     space_of,
 )
 
-from oddspec.evaluator import _fold, _ranks, _retest
+from oddspec.evaluator import _evaluate, _retest
 
 FLAG_TAXONOMY = Taxonomy((Attribute("flag", BoolType()),), version="flag1")
 FLAG_ATOM = Atom("flag", Predicate.EQ, True)
@@ -644,26 +647,46 @@ def _subtree_plans(spec):
     return plans
 
 
+def _plan_of(ast, atoms):
+    """The nesting of ``ast`` over atom positions in ``atoms``, with ``not
+    not`` folded away: an int is an atom, a 1-tuple negates its element and
+    a 2-tuple conjoins its two."""
+    if isinstance(ast, Atom):
+        return atoms.index(ast)
+    if isinstance(ast, Not):
+        if isinstance(ast.operand, Not):
+            return _plan_of(ast.operand.operand, atoms)
+        return (_plan_of(ast.operand, atoms),)
+    assert isinstance(ast, And)
+    return (_plan_of(ast.left, atoms), _plan_of(ast.right, atoms))
+
+
+def _fold(plan, ranks):
+    """Kleene-fold a nested plan over atom ranks, every operand folded."""
+    if type(plan) is int:
+        return ranks[plan]
+    if len(plan) == 1:
+        return 2 - _fold(plan[0], ranks)
+    return min(_fold(plan[0], ranks), _fold(plan[1], ranks))
+
+
 def _assert_node_ranks(ast, spec, rows, orders):
     """Step the samples of ``rows``; after each, every node's rank is a fresh
-    fold of its subtree and the root's is the truth-table referee's verdict."""
+    fold of its subtree, the root's is the truth-table referee's verdict, and
+    an evaluation of the sample alone gives the same atom and node ranks."""
     plans = _subtree_plans(spec)
     state = monitor_init(spec, spec.taxonomy)
     for i, row in enumerate(rows):
-        monitor_step(state, make_lod(spec.taxonomy, row, t=float(i)))
+        sample = make_lod(spec.taxonomy, row, t=float(i))
+        monitor_step(state, sample)
         assert state.last_ranks == [state.node_ranks[leaves[0]] for leaves in spec.leaves]
         assert state.node_ranks == [_fold(plan, state.last_ranks) for plan in plans]
         assert _VERDICT_NAMES[state.node_ranks[-1]] == eval_kleene(ast, row, orders)
+        assert _evaluate(spec, sample.values) == (state.last_ranks, state.node_ranks)
     return state
 
 
 _VERDICT_NAMES = ("false", "unknown", "true")
-
-TRIO_TAXONOMY = Taxonomy(
-    (Attribute("a", EnumType(("x", "y"))), Attribute("flag", BoolType()),
-     Attribute("b", BoolType())),
-    version="trio1",
-)
 
 
 class TestNodeTable:
@@ -674,20 +697,16 @@ class TestNodeTable:
     def test_the_table_is_the_plan(self, taxonomy):
         rng = random.Random("table " + taxonomy.version)
         for _ in range(10):
-            spec = check_spec(random_spec(rng, taxonomy, 6), taxonomy)
-            assert _subtree_plans(spec)[-1] == spec.plan
+            ast = random_spec(rng, taxonomy, 6)
+            spec = check_spec(ast, taxonomy)
+            assert _subtree_plans(spec)[-1] == _plan_of(ast, spec.atoms)
             assert spec.parents[-1] == -1
             for node, kids in enumerate(spec.children):
                 assert all(kid < node and spec.parents[kid] == node for kid in kids)
             leaves = sorted(leaf for atom_leaves in spec.leaves for leaf in atom_leaves)
             assert leaves == [node for node, kids in enumerate(spec.children) if not kids]
 
-    @pytest.mark.parametrize("text", [
-        "flag == true and not flag == true",
-        "not (a == x and not a == x) and a == x",
-        "a == x or not (a == x or flag == true) or not flag == true",
-        "not not (flag == true and b == true) and not (b == true and not not flag == true)",
-    ])
+    @pytest.mark.parametrize("text", BOTH_POLARITY_SPECS)
     def test_an_atom_with_leaves_of_both_polarities(self, text):
         ast = parse_spec(text)
         spec = check_spec(ast, TRIO_TAXONOMY)
@@ -761,7 +780,7 @@ class TestAtomFlags:
             last_values, last_ranks = (UNKNOWN,) * len(taxonomy), [1] * size
             for row in _changing_rows(rng, spaces, 80):
                 values = make_lod(taxonomy, row).values
-                full = _ranks(spec.groups, size, values)
+                full, _ = _evaluate(spec, values)
                 kept = list(last_ranks)
                 moved = []
                 ranks = _retest(spec.groups, values, last_values, last_ranks, moved)

@@ -305,13 +305,16 @@ class TestPlan:
     def test_double_negation_folds_away(self):
         taxonomy = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())))
         plain = check_spec(parse_spec("a == true"), taxonomy)
+        assert (plain.children, plain.leaves) == (((),), ((0,),))
         for text in ("not not a == true", "not not not not a == true"):
             spec = check_spec(parse_spec(text), taxonomy)
-            assert spec.plan == plain.plan
+            assert (spec.children, spec.leaves) == (plain.children, plain.leaves)
             assert spec.blame == plain.blame
             assert serialize_spec(spec.ast) == text
         mixed = check_spec(parse_spec("not not not (a == true and not not b == false)"), taxonomy)
-        assert mixed.plan == ((0, 1),)
+        # the two leaves, their conjunction, and one negation above it
+        assert mixed.children == ((), (), (0, 1), (2,))
+        assert mixed.leaves == ((0,), (1,))
         assert mixed.blame == (False, False)
 
     @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
