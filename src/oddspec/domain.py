@@ -270,10 +270,17 @@ def _parse_record(line: str, lineno: int, taxonomy: Taxonomy) -> Lod:
             raise _line_error(lineno, f"missing keys {sorted(missing)}")
         raise _line_error(lineno, f"unexpected keys {sorted(record.keys() - _RECORD_KEYS)}")
     try:
-        # Lod's check, but naming the record's key 't' where Lod says "time"
-        t = _number("'t'", record["t"])
-        x = _number("'x'", record["x"])
-        y = _number("'y'", record["y"])
+        # Lod's exact-float test, inline; any other value goes through
+        # _number, which names the record's key 't' where Lod says "time"
+        t = record["t"]
+        if type(t) is not float or not 0 <= t <= _FLOAT_MAX:
+            t = _number("'t'", t)
+        x = record["x"]
+        if type(x) is not float or not abs(x) <= _FLOAT_MAX:
+            x = _number("'x'", x)
+        y = record["y"]
+        if type(y) is not float or not abs(y) <= _FLOAT_MAX:
+            y = _number("'y'", y)
         if not isinstance(record["values"], dict):
             raise _line_error(lineno, "'values' must be an object")
         return make_lod(taxonomy, record["values"], t=t, x=x, y=y)

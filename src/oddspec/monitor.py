@@ -34,6 +34,9 @@ class EventKind(enum.Enum):
 
 @dataclass(frozen=True, init=False)
 class MonitorEvent:
+    """A transition of the verdict: its kind, the time and index of the
+    sample that caused it, and that sample's diagnosis."""
+
     kind: EventKind
     t: float
     sample_index: int
@@ -121,6 +124,9 @@ class MonitorState:
 
 @dataclass(frozen=True)
 class MonitorReport:
+    """Summary of a fold: samples and dwell time per verdict, every event in
+    order, and for each blamed atom the number of samples that falsified it."""
+
     samples_total: int
     samples_in: int
     samples_out: int

@@ -68,11 +68,17 @@ class Atom:
 
 @dataclass(frozen=True)
 class Not:
+    """Negation of a subtree: True where the operand is False, and Unknown
+    where it is Unknown."""
+
     operand: "SpecAst"
 
 
 @dataclass(frozen=True)
 class And:
+    """Conjunction of two subtrees under strong Kleene logic; ``a or b`` is
+    parsed as ``not (not a and not b)``."""
+
     left: "SpecAst"
     right: "SpecAst"
 

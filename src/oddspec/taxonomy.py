@@ -90,9 +90,16 @@ class EnumType:
             _check_identifier(label, "enum label")
         if len(set(self.labels)) != len(self.labels):
             raise TaxonomyError("enum labels must be pairwise distinct")
+        # what _accept looks an exact str up in; a plain attribute, not a
+        # field, so it is no part of the type's value
+        object.__setattr__(self, "_label_set", frozenset(self.labels))
 
     def _accept(self, value):
-        """A ``str`` that is one of the labels, unchanged."""
+        """A ``str`` that is one of the labels, unchanged. An exact ``str``
+        is looked up in the label set; any other value, a ``str`` subclass
+        included, is compared with each label."""
+        if type(value) is str:
+            return value if value in self._label_set else _REJECT
         return value if isinstance(value, str) and value in self.labels else _REJECT
 
 
@@ -120,16 +127,14 @@ class RealType:
         _check_bounds(self, integral=False)
 
     def _accept(self, value):
-        """A finite number (not a ``bool``) within the bounds, as a ``float``."""
+        """A finite number (not a ``bool``) within the bounds, as a ``float``.
+        An exact ``float`` is tested first and comes back as it is."""
+        # the folded bounds are finite floats, so NaN, an infinity and an int
+        # past the largest float all fail this one comparison
+        if type(value) is float:
+            return value if self._low <= value <= self._high else _REJECT
         if isinstance(value, (float, int)) and not isinstance(value, bool):
-            low, high = self.minimum, self.maximum
-            # the bounds are finite floats, so NaN, an infinity and an int
-            # past the largest float all fail this one comparison
-            if (
-                (-_FLOAT_MAX if low is None else low)
-                <= value
-                <= (_FLOAT_MAX if high is None else high)
-            ):
+            if self._low <= value <= self._high:
                 return float(value)
         return _REJECT
 
@@ -148,17 +153,19 @@ class IntType:
         _check_bounds(self, integral=True)
 
     def _accept(self, value):
-        """An ``int`` (not a ``bool``) within the bounds, unchanged."""
-        if isinstance(value, int) and not isinstance(value, bool):
-            low, high = self.minimum, self.maximum
-            if (low is None or not value < low) and (high is None or not value > high):
+        """An ``int`` (not a ``bool``) within the bounds, unchanged. An exact
+        ``int`` is recognised by one test, before the subclass tests."""
+        if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
+            if self._low <= value <= self._high:
                 return value
         return _REJECT
 
 
 def _check_bounds(kind: RealType | IntType, integral: bool) -> None:
     """Check each bound of ``kind`` and their order; store a real type's
-    bounds as floats."""
+    bounds as floats. Fold them into ``_low`` and ``_high``, the bounds that
+    ``_accept`` tests an exact value against; a missing bound becomes the
+    largest float for a real and infinity for an int, signed for its side."""
     for field_name in ("minimum", "maximum"):
         bound = getattr(kind, field_name)
         if bound is None:
@@ -179,6 +186,10 @@ def _check_bounds(kind: RealType | IntType, integral: bool) -> None:
     low, high = kind.minimum, kind.maximum
     if low is not None and high is not None and low > high:
         raise TaxonomyError(f"lower bound {_shown(low)} exceeds upper bound {_shown(high)}")
+    # plain attributes, not fields, so they are no part of the type's value
+    unbounded = math.inf if integral else _FLOAT_MAX
+    object.__setattr__(kind, "_low", -unbounded if low is None else low)
+    object.__setattr__(kind, "_high", unbounded if high is None else high)
 
 
 AttributeType = EnumType | BoolType | RealType | IntType
@@ -198,6 +209,9 @@ _KEYS_OF = {tag: {"name", "type", "description", *keys} for tag, (_, keys) in _T
 
 @dataclass(frozen=True)
 class Attribute:
+    """One declared attribute: its name, its data type and an optional
+    free-text description."""
+
     name: str
     attr_type: AttributeType
     description: str | None = None

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -335,12 +336,19 @@ class TestExitCodes:
     @staticmethod
     def _read_three_lines_and_close(argv):
         """Run the CLI, read three lines of its output and close the pipe;
-        the lines, the exit status and standard error."""
+        the lines, the exit status and standard error. A child that has not
+        written them within 60 s is killed, so that the reads end and the
+        test fails instead of hanging."""
         with subprocess.Popen(
             [sys.executable, "-m", "oddspec", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         ) as child:
-            lines = [child.stdout.readline() for _ in range(3)]
+            timer = threading.Timer(60, child.kill)
+            timer.start()
+            try:
+                lines = [child.stdout.readline() for _ in range(3)]
+            finally:
+                timer.cancel()
             child.stdout.close()
             try:
                 returncode = child.wait(timeout=60)

@@ -103,7 +103,8 @@ class TestMakeLod:
             Lod(t=0, x=math.inf, y=None, values=())
         assert str(caught.value) == "'x' must be a finite number, got inf"
 
-    # make_lod keeps its bare ids; the same cases through Lod end in "-Lod"
+    # make_lod keeps its bare ids; the same cases through Lod end in "-Lod",
+    # and JSON literals through parse_lod in "-parse_lod"
     @pytest.mark.parametrize(
         "constructor, key, value",
         [
@@ -115,15 +116,46 @@ class TestMakeLod:
                 ("bool", True), ("str", "1"), ("bytes", b"1"), ("none", None),
                 ("huge", 10**400), ("-huge", -(10**400)),
             ]
+        ] + [
+            pytest.param("parse_lod", key, literal, id=f"{key}-{name}-parse_lod")
+            for key in ["t", "x", "y"]
+            for name, literal in [
+                ("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"), ("1e400", "1e400"),
+                ("bool", "true"), ("str", '"1"'), ("huge", "9" * 400),
+            ]
         ],
     )
     def test_non_finite_time_or_coordinate(self, finite_taxonomy, constructor, key, value):
         # json.dumps would write it as Infinity or NaN, which no trace accepts
+        if constructor == "parse_lod":
+            # a record names its key, 't' included, where Lod says "time"
+            fields = {"t": "0.0", "x": "0.0", "y": "0.0", key: value}
+            line = '{"t": %(t)s, "x": %(x)s, "y": %(y)s, "values": {}}' % fields
+            with pytest.raises(TraceError) as raised:
+                parse_lod(line, finite_taxonomy)
+            shown = repr(json.loads(value))
+            assert str(raised.value) == f"line 1: '{key}' must be a finite number, got {shown}"
+            return
         with pytest.raises(LodError, match="time must be" if key == "t" else f"'{key}' must be"):
             if constructor == "Lod":
                 Lod(**{"t": 0.0, "x": 0.0, "y": 0.0, key: value}, values=())
             else:
                 make_lod(finite_taxonomy, {}, **{key: value})
+
+    def test_a_record_number_that_is_not_a_finite_float(self, finite_taxonomy):
+        # parse_lod takes an exact finite float as it is and sends any other
+        # number through Lod's check: a negative time is refused, and an int
+        # and a negative zero are stored as floats
+        with pytest.raises(TraceError) as raised:
+            parse_lod('{"t": -1, "x": 0, "y": 0, "values": {}}', finite_taxonomy)
+        assert str(raised.value) == "line 1: time must be a non-negative number, got -1.0"
+        for key in ["t", "x", "y"]:
+            for literal, expected in [("-0.0", -0.0), ("2", 2.0)]:
+                fields = {"t": "0.0", "x": "0.0", "y": "0.0", key: literal}
+                line = '{"t": %(t)s, "x": %(x)s, "y": %(y)s, "values": {}}' % fields
+                stored = getattr(parse_lod(line, finite_taxonomy), key)
+                assert type(stored) is float and stored == expected
+                assert math.copysign(1.0, stored) == math.copysign(1.0, expected)
 
     def test_finite_extremes_round_trip(self, finite_taxonomy):
         coordinates = [
@@ -682,6 +714,10 @@ class _Label(str):
     """A str subclass, as a JSON object hook or an enum library may pass."""
 
 
+class _Real(float):
+    """A float subclass, as a units library or a numeric wrapper may pass."""
+
+
 class _UnhashableLabel(str):
     """A str subclass that cannot be a set member or a dict key."""
 
@@ -695,6 +731,7 @@ _ADVERSARIAL = [
     2**53 + 1, None, UNKNOWN, [], ["motorway"], (), "", "Motorway", "true",
     *_ALL_LABELS, *(_Label(label) for label in _ALL_LABELS),
     *(_UnhashableLabel(label) for label in _ALL_LABELS),
+    _Real(47.5), _Real(-0.0), _Real(math.nan),
 ]
 
 

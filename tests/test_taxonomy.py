@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -160,6 +161,50 @@ def test_real_bounds_are_stored_as_floats():
     speed = RealType("kmh", minimum=0, maximum=130)
     assert (type(speed.minimum), type(speed.maximum)) == (float, float)
     assert speed == RealType("kmh", minimum=0.0, maximum=130.0)
+
+
+# Pairs of equal data types built from different arguments, with the
+# fields each declares. Each type folds its labels or bounds into plain
+# attributes when it is built; those are no part of its value.
+_EQUAL_TYPES = [
+    (EnumType(["a", "b"]), EnumType(("a", "b")), ["labels", "ordered"]),
+    (RealType("kmh", minimum=0, maximum=50), RealType("kmh", 0.0, 50.0),
+     ["unit", "minimum", "maximum"]),
+    (RealType("kmh", maximum=50), RealType("kmh", maximum=50.0), ["unit", "minimum", "maximum"]),
+    (IntType(minimum=1, maximum=50), IntType(None, 1, 50), ["unit", "minimum", "maximum"]),
+    (IntType(unit="m"), IntType("m"), ["unit", "minimum", "maximum"]),
+]
+_PROBES = [
+    "a", "b", "c", True, False, None, -1, 0, 1, 10, 11, 50, 51, 0.0, -0.0, 10.0, 11.0,
+    49.5, 50.0, 50.5, math.nan, math.inf, -math.inf, 10**400, -(10**400), [],
+]
+
+
+@pytest.mark.parametrize(
+    "kind, twin, names", _EQUAL_TYPES, ids=["enum", "real", "real-max", "int", "int-unbounded"]
+)
+def test_the_folded_labels_and_bounds_are_no_part_of_a_type(kind, twin, names):
+    assert [f.name for f in dataclasses.fields(kind)] == names
+    assert kind == twin and hash(kind) == hash(twin) and repr(kind) == repr(twin)
+    document = serialize_taxonomy(Taxonomy((Attribute("a", kind),)))
+    assert document == serialize_taxonomy(Taxonomy((Attribute("a", twin),)))
+    assert parse_taxonomy(document) == Taxonomy((Attribute("a", kind),))
+    # a copy carries the folded data and accepts what the original accepts
+    for duplicate in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind), twin):
+        for value in _PROBES:
+            expected = value_in_domain(Attribute("a", kind), value)
+            assert value_in_domain(Attribute("a", duplicate), value) is expected
+
+
+def test_replace_folds_the_new_labels_and_bounds():
+    # dataclasses.replace builds through the constructor, which folds again
+    speed = dataclasses.replace(RealType(unit="kmh", maximum=50.0), maximum=10.0)
+    assert value_in_domain(Attribute("speed", speed), 10.0)
+    assert not value_in_domain(Attribute("speed", speed), 11.0)
+    lanes = dataclasses.replace(IntType(minimum=1, maximum=4), minimum=3)
+    assert [value_in_domain(Attribute("lanes", lanes), n) for n in (2, 3, 4)] == [False, True, True]
+    road = dataclasses.replace(EnumType(("a", "b")), labels=("b", "c"))
+    assert [value_in_domain(Attribute("road", road), s) for s in "abc"] == [False, True, True]
 
 
 @pytest.mark.parametrize(
