@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
 from .evaluator import _VERDICT, Diagnosis, Verdict, _check_arity, _lift, _retest
 from .specdsl import Atom, WellFormedSpec, serialize_spec
-from .taxonomy import Taxonomy, _check_binding
+from .taxonomy import _FLOAT_MAX, Taxonomy, _check_binding
 
 
 class EventKind(enum.Enum):
@@ -58,27 +58,23 @@ _TRANSITIONS: dict[tuple[Verdict | None, Verdict], tuple[EventKind, ...]] = {
     (None, Verdict.TRUE): (EventKind.ENTRY,),
     (None, Verdict.FALSE): (EventKind.EXIT,),
     (None, Verdict.UNKNOWN): (EventKind.UNKNOWN_START,),
-    (Verdict.TRUE, Verdict.TRUE): (),
     (Verdict.TRUE, Verdict.FALSE): (EventKind.EXIT,),
     (Verdict.TRUE, Verdict.UNKNOWN): (EventKind.EXIT, EventKind.UNKNOWN_START),
     (Verdict.FALSE, Verdict.TRUE): (EventKind.ENTRY,),
-    (Verdict.FALSE, Verdict.FALSE): (),
     (Verdict.FALSE, Verdict.UNKNOWN): (EventKind.UNKNOWN_START,),
     (Verdict.UNKNOWN, Verdict.TRUE): (EventKind.UNKNOWN_END, EventKind.ENTRY),
     (Verdict.UNKNOWN, Verdict.FALSE): (EventKind.UNKNOWN_END,),
-    (Verdict.UNKNOWN, Verdict.UNKNOWN): (),
 }
 
 
-@dataclass
 class MonitorState:
     """Mutable fold state; owned by exactly one consumer at a time.
 
-    ``MonitorState(spec)`` and ``monitor_init`` build the same fresh state:
-    every seed below is the all-Unknown row, on which every atom and every
-    node has rank 1 (``min(1, 1)`` and ``2 - 1``), every atom is unknown and
-    none is falsified, so the first sample takes the same path as every
-    later one.
+    A state is built only from its spec: ``MonitorState(spec)`` and
+    ``monitor_init`` build the same fresh state. Every seed below is the
+    all-Unknown row, on which every atom and every node has rank 1
+    (``min(1, 1)`` and ``2 - 1``), every atom is unknown and none is
+    falsified, so the first sample takes the same path as every later one.
 
     An atom's rank depends only on its attribute's value, so the fold keeps
     the last sample's values tuple (``last_values``) and atom ranks
@@ -94,21 +90,12 @@ class MonitorState:
     ``report_from_state`` adds the runs still open.
     """
 
-    spec: WellFormedSpec
-    last_verdict: Verdict | None = None
-    last_t: float | None = None
-    counts: dict[Verdict, int] = field(default_factory=lambda: dict.fromkeys(Verdict, 0))
-    dwell: dict[Verdict, float] = field(default_factory=lambda: dict.fromkeys(Verdict, 0.0))
-    last_values: tuple = field(init=False)
-    last_ranks: list[int] = field(init=False)
-    node_ranks: list[int] = field(init=False)
-    falsified: list[bool] = field(init=False)
-    unknown: list[bool] = field(init=False)
-    violations: list[int] = field(init=False)
-    run_starts: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        spec = self.spec
+    def __init__(self, spec: WellFormedSpec):
+        self.spec = spec
+        self.last_verdict: Verdict | None = None
+        self.last_t: float | None = None
+        self.counts = dict.fromkeys(Verdict, 0)
+        self.dwell = dict.fromkeys(Verdict, 0.0)
         self.last_values = (UNKNOWN,) * len(spec.taxonomy)
         self.last_ranks = [1] * len(spec.atoms)
         self.node_ranks = [1] * len(spec.parents)
@@ -125,9 +112,9 @@ class MonitorState:
 @dataclass(frozen=True)
 class MonitorReport:
     """Summary of a fold: samples and dwell time per verdict, every event in
-    order, and for each blamed atom the number of samples that falsified it."""
+    order, and for each blamed atom the number of samples that falsified it.
+    ``samples_total`` is the sum of the three sample counts."""
 
-    samples_total: int
     samples_in: int
     samples_out: int
     samples_unknown: int
@@ -136,6 +123,10 @@ class MonitorReport:
     dwell_unknown_s: float
     events: tuple[MonitorEvent, ...]
     atom_violations: dict[Atom, int]
+
+    @property
+    def samples_total(self) -> int:
+        return self.samples_in + self.samples_out + self.samples_unknown
 
 
 def monitor_init(spec: WellFormedSpec, taxonomy: Taxonomy) -> MonitorState:
@@ -200,8 +191,8 @@ def monitor_step(
     state.counts[verdict] += 1
     state.last_verdict = verdict
     state.last_t = cod.t
-    # a repeated verdict has no events, which spares most samples the lookup
-    if verdict is last_verdict or not (kinds := _TRANSITIONS[(last_verdict, verdict)]):
+    # a repeated verdict has no events, and no entry in _TRANSITIONS
+    if verdict is last_verdict:
         return state, verdict, []
     if not moved:
         # a verdict moves only with an atom, so this is the first sample
@@ -210,6 +201,7 @@ def monitor_step(
     diagnosis = Diagnosis(
         verdict, tuple(compress(atoms, state.falsified)), tuple(compress(atoms, state.unknown))
     )
+    kinds = _TRANSITIONS[(last_verdict, verdict)]
     return state, verdict, [MonitorEvent(kind, cod.t, index, diagnosis) for kind in kinds]
 
 
@@ -255,14 +247,15 @@ def report_from_state(
             count += total - start
         if count:
             atom_violations[atom] = count
+    # a dwell is at most the last t less the first, and so a float, but a
+    # sum of the intervals may round past the largest float to infinity
     return MonitorReport(
-        samples_total=total,
         samples_in=state.counts[Verdict.TRUE],
         samples_out=state.counts[Verdict.FALSE],
         samples_unknown=state.counts[Verdict.UNKNOWN],
-        dwell_in_s=state.dwell[Verdict.TRUE],
-        dwell_out_s=state.dwell[Verdict.FALSE],
-        dwell_unknown_s=state.dwell[Verdict.UNKNOWN],
+        dwell_in_s=min(state.dwell[Verdict.TRUE], _FLOAT_MAX),
+        dwell_out_s=min(state.dwell[Verdict.FALSE], _FLOAT_MAX),
+        dwell_unknown_s=min(state.dwell[Verdict.UNKNOWN], _FLOAT_MAX),
         events=tuple(events),
         atom_violations=atom_violations,
     )

@@ -90,9 +90,15 @@ Probe = tuple[int, Test, object]  # (value index, test, literal)
 Group = tuple[int, tuple[tuple[int, Test, object], ...]]  # see WellFormedSpec.groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WellFormedSpec:
     """A checked specification, bound to the taxonomy it was checked against.
+
+    ``WellFormedSpec(ast, taxonomy)``, which ``check_spec`` names, is the one
+    check and compile of a spec: it checks every atom against the taxonomy
+    (well-formedness is atom-local) and compiles the tree once. So
+    ``dataclasses.replace`` of ``ast`` or ``taxonomy`` checks and compiles
+    again, and replacing a compiled field raises ``ValueError``.
 
     The binding is structural: the spec fits samples laid out by a taxonomy
     equal to ``taxonomy``, with the same attributes, order, types and
@@ -101,12 +107,12 @@ class WellFormedSpec:
     ``parse_trace`` or ``enumerate_od`` and does not re-validate their
     values; it checks only their arity.
 
-    ``check_spec`` compiles the tree once. ``atoms`` are the distinct atoms
-    in first-occurrence order; ``blame[i]`` is true when atom ``i`` occurs
-    under an even number of negations. ``groups`` is the one table of
-    compiled atom tests: one ``(value index, ((atom index, test, literal),
-    ...))`` per mentioned attribute, in value-index order, where
-    ``test(literal, value)`` is the atom's truth on a measured value.
+    ``atoms`` are the distinct atoms in first-occurrence order; ``blame[i]``
+    is true when atom ``i`` occurs under an even number of negations.
+    ``groups`` is the one table of compiled atom tests: one ``(value index,
+    ((atom index, test, literal), ...))`` per mentioned attribute, in
+    value-index order, where ``test(literal, value)`` is the atom's truth on
+    a measured value.
 
     ``parents``, ``children`` and ``leaves`` are the tree as a flat node
     table, numbered in post-order, so the root is the last node: a leaf is
@@ -116,16 +122,42 @@ class WellFormedSpec:
     the root, and ``leaves[i]`` lists the leaves of atom ``i``, which may
     be several, of either polarity. Every evaluation computes node ranks
     upward along it. ``mentioned_attributes`` is derived from ``atoms``.
+
+    Raises:
+        SpecCheckError: unknown attribute, literal kind mismatch,
+            out-of-domain literal, or unit mismatch.
+        PredicateNotApplicableError: ordering predicate on a type with no
+            defined order.
     """
 
     ast: SpecAst
     taxonomy: Taxonomy
-    atoms: tuple[Atom, ...] = field(compare=False, repr=False)
-    blame: tuple[bool, ...] = field(compare=False, repr=False)
-    groups: tuple[Group, ...] = field(compare=False, repr=False)
-    parents: tuple[int, ...] = field(compare=False, repr=False)
-    children: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    leaves: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    atoms: tuple[Atom, ...] = field(init=False, compare=False, repr=False)
+    blame: tuple[bool, ...] = field(init=False, compare=False, repr=False)
+    groups: tuple[Group, ...] = field(init=False, compare=False, repr=False)
+    parents: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    leaves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __init__(self, ast: SpecAst, taxonomy: Taxonomy):
+        found, blame, parents, children, leaves = _compile(ast)
+        groups: dict[int, list] = {}
+        # A plain loop, not a generator, so that RealEqualityWarning's
+        # stacklevel names the caller of the constructor.
+        for atom_index, atom in enumerate(found):
+            index, test, literal = _check_atom(atom, taxonomy)
+            groups.setdefault(index, []).append((atom_index, test, literal))
+        # past the frozen __setattr__, but not into self.__dict__ as Lod's
+        # are: that dict would make every later read of a field 4x slower
+        write = object.__setattr__
+        write(self, "ast", ast)
+        write(self, "taxonomy", taxonomy)
+        write(self, "atoms", tuple(found))
+        write(self, "blame", tuple(blame))
+        write(self, "groups", tuple((i, tuple(members)) for i, members in sorted(groups.items())))
+        write(self, "parents", tuple(parents))
+        write(self, "children", tuple(children))
+        write(self, "leaves", tuple(map(tuple, leaves)))
 
     @property
     def mentioned_attributes(self) -> frozenset[str]:
@@ -451,33 +483,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
     return (index, test, literal)
 
 
-def check_spec(ast: SpecAst, taxonomy: Taxonomy) -> WellFormedSpec:
-    """Check every atom against the taxonomy (well-formedness is atom-local)
-    and compile the spec for evaluation.
-
-    Raises:
-        SpecCheckError: unknown attribute, literal kind mismatch,
-            out-of-domain literal, or unit mismatch.
-        PredicateNotApplicableError: ordering predicate on a type with no
-            defined order.
-    """
-    found, blame, parents, children, leaves = _compile(ast)
-    groups: dict[int, list] = {}
-    # A plain loop, not a generator, so that RealEqualityWarning's
-    # stacklevel names the caller of check_spec.
-    for atom_index, atom in enumerate(found):
-        index, test, literal = _check_atom(atom, taxonomy)
-        groups.setdefault(index, []).append((atom_index, test, literal))
-    return WellFormedSpec(
-        ast=ast,
-        taxonomy=taxonomy,
-        atoms=tuple(found),
-        blame=tuple(blame),
-        groups=tuple((index, tuple(members)) for index, members in sorted(groups.items())),
-        parents=tuple(parents),
-        children=tuple(children),
-        leaves=tuple(map(tuple, leaves)),
-    )
+check_spec = WellFormedSpec  # no wrapper: a RealEqualityWarning names its caller
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -496,6 +497,51 @@ class TestInProcessEntryPoint:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_a_report_is_strict_json_when_the_dwell_sums_past_the_largest_float(
+        self, tmp_path, capsys
+    ):
+        # every t is finite, yet the float sum of the intervals rounds to infinity
+        times = (0, 3.985335865152227e307, 7.871875209470127e307, 8.913182625128503e307)
+        trace = tmp_path / "far.trace"
+        trace.write_text(
+            "".join(
+                json.dumps({"t": t, "x": 0, "y": 0, "values": {}}) + "\n"
+                for t in (*times, sys.float_info.max)
+            )
+        )
+        report = tmp_path / "report.json"
+        argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)]
+        assert main([*argv, "--report", str(report)]) == 0
+        document = json.loads(report.read_text(), parse_constant=_refuse_constant)
+        assert document["dwell_s"] == {"in": 0.0, "out": 0.0, "unknown": sys.float_info.max}
+
+    def test_memory_stays_bounded_on_a_long_trace(self, tmp_path):
+        def peak(count):
+            trace = tmp_path / f"{count}.trace"
+            trace.write_text(
+                "".join(
+                    f'{{"t": {i}.0, "x": 0.0, "y": 0.0, "values": {{"road_type": "motorway", '
+                    f'"pedestrian_present": false, "operational_speed": {30 + i % 20}.0}}}}\n'
+                    for i in range(count)
+                )
+            )
+            argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)]
+            # stdout goes to devnull, since a capture would hold every line
+            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--report", str(tmp_path / "report.json")]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1_000)  # the first run also fills the interpreter's caches
+        assert peak(10_000) < peak(1_000) + 64 * 1024
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _assert_one_error_line(text: str) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -105,8 +106,24 @@ class TestInit:
         samples = [make_lod(PAIR_TAXONOMY, r, t=float(i)) for i, r in enumerate(rows)]
         direct, _, direct_events = fold(spec, samples, MonitorState(spec))
         built, _, built_events = fold(spec, samples)
-        assert direct == built
+        assert vars(direct) == vars(built)
         assert report_from_state(direct, direct_events) == report_from_state(built, built_events)
+
+    @pytest.mark.parametrize(
+        "derived",
+        [
+            {"last_t": 1.0},
+            {"last_verdict": Verdict.TRUE},
+            {"counts": {}},
+            {"dwell": {}},
+            {"last_ranks": []},
+        ],
+        ids=lambda derived: next(iter(derived)),
+    )
+    def test_a_state_is_built_only_from_its_spec(self, derived):
+        assert not dataclasses.is_dataclass(MonitorState)
+        with pytest.raises(TypeError):
+            MonitorState(flag_spec(), **derived)
 
     def test_version_mismatch(self):
         other = Taxonomy(FLAG_TAXONOMY.attributes, version="flag2")
@@ -384,6 +401,26 @@ class TestReportRendering:
     def test_json_round_trips_through_loads(self):
         text = report_json(run_letters("TUF"))
         assert json.loads(text)["samples"]["unknown"] == 1
+
+    def test_samples_total_is_the_sum_of_the_counts(self):
+        report = run_letters("TTFUUT")
+        assert (report.samples_in, report.samples_out, report.samples_unknown) == (3, 1, 2)
+        assert report.samples_total == 6
+        assert "samples_total" not in {field.name for field in dataclasses.fields(report)}
+
+    def test_a_dwell_is_at_most_the_largest_float(self):
+        times = [0.0, 3.985335865152227e307, 7.871875209470127e307, 8.913182625128503e307]
+        times.append(sys.float_info.max)
+        elapsed = 0.0
+        for earlier, later in zip(times, times[1:]):
+            elapsed += later - earlier
+        assert elapsed == math.inf  # the float sum of the intervals overflows
+        report = run_letters("UUUUU", times)
+        assert report.dwell_unknown_s == sys.float_info.max
+        assert report.dwell_in_s == report.dwell_out_s == 0.0
+        text = report_json(report)
+        assert "Infinity" not in text
+        assert json.loads(text)["dwell_s"]["unknown"] == sys.float_info.max
 
 
 PAIR_TAXONOMY = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())), version="pair1")

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -21,16 +22,27 @@ from oddspec import (
     SpecCheckError,
     SpecParseError,
     Taxonomy,
+    Verdict,
+    WellFormedSpec,
     atoms,
     check_spec,
     diagnose,
+    eval_spec,
     make_lod,
     parse_spec,
     render_value,
     serialize_spec,
 )
 from oddspec.specdsl import _check_atom, _lex
-from oracles import SPEC_FAMILY, eval_two_valued, random_free_ast, random_spec
+from oracles import (
+    SPEC_FAMILY,
+    eval_kleene,
+    eval_two_valued,
+    label_orders_of,
+    random_free_ast,
+    random_spec,
+    space_of,
+)
 
 S1 = Atom("road_type", Predicate.EQ, "motorway")
 S2 = Atom("pedestrian_present", Predicate.EQ, False)
@@ -333,6 +345,102 @@ class TestPlan:
             assert [probe for _, probe in members] == [
                 _check_atom(atom, taxonomy) for atom in spec.atoms
             ]
+
+
+_COMPILED = ("atoms", "blame", "groups", "parents", "children", "leaves")
+
+
+def _random_verdicts(rng, spec, count=20):
+    """The spec's verdicts on ``count`` random samples of its taxonomy,
+    some attributes unmeasured, each checked against the Kleene oracle."""
+    taxonomy = spec.taxonomy
+    orders = label_orders_of(taxonomy)
+    verdicts = []
+    for _ in range(count):
+        measured = {
+            attribute.name: rng.choice(space_of(attribute))
+            for attribute in taxonomy.attributes
+            if rng.random() < 0.8
+        }
+        verdict = eval_spec(spec, make_lod(taxonomy, measured)).value
+        partial = {a.name: measured.get(a.name) for a in taxonomy.attributes}
+        assert verdict == eval_kleene(spec.ast, partial, orders)
+        verdicts.append(verdict)
+    return verdicts
+
+
+class TestConstructor:
+    """``WellFormedSpec(ast, taxonomy)`` is the one check and compile of a
+    spec, so no spec holds tables compiled from another tree or taxonomy."""
+
+    def test_check_spec_names_the_constructor(self, motorway_taxonomy):
+        assert check_spec is WellFormedSpec
+        ast = parse_spec(MOTORWAY_SPEC_TEXT)
+        spec = WellFormedSpec(ast, motorway_taxonomy)
+        assert spec == WellFormedSpec(ast=ast, taxonomy=motorway_taxonomy)
+        assert spec.atoms == (S1, S2, S3)
+        for name in _COMPILED:
+            with pytest.raises(TypeError):
+                WellFormedSpec(ast, motorway_taxonomy, **{name: getattr(spec, name)})
+
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_replace_checks_and_compiles_again(self, taxonomy):
+        rng = random.Random("rebind " + taxonomy.version)
+        reversed_ = Taxonomy(tuple(reversed(taxonomy.attributes)), version=taxonomy.version)
+        for _ in range(10):
+            spec = check_spec(random_spec(rng, taxonomy, 4), taxonomy)
+            rebound = dataclasses.replace(spec, taxonomy=reversed_)
+            expected = check_spec(spec.ast, reversed_)
+            assert rebound.taxonomy is reversed_
+            assert rebound.groups == expected.groups
+            seed = rng.random()
+            verdicts = _random_verdicts(random.Random(seed), rebound)
+            assert verdicts == _random_verdicts(random.Random(seed), expected)
+
+            other = random_spec(rng, taxonomy, 4)
+            replaced = dataclasses.replace(spec, ast=other)
+            expected = check_spec(other, taxonomy)
+            assert replaced == expected and hash(replaced) == hash(expected)
+            assert replaced.atoms == expected.atoms
+            verdicts = _random_verdicts(random.Random(seed), replaced)
+            assert verdicts == _random_verdicts(random.Random(seed), expected)
+
+    def test_a_replaced_tree_or_taxonomy_is_judged_by_itself(self):
+        t_ab = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())), version="1")
+        t_ba = Taxonomy(tuple(reversed(t_ab.attributes)), version="1")
+        spec = check_spec(parse_spec("a == true"), t_ab)
+        sample = make_lod(t_ba, {"a": False, "b": True})
+        assert eval_spec(dataclasses.replace(spec, taxonomy=t_ba), sample) is Verdict.FALSE
+        replaced = dataclasses.replace(spec, ast=parse_spec("a == false"))
+        assert eval_spec(replaced, make_lod(t_ab, {"a": False})) is Verdict.TRUE
+        with pytest.raises(SpecCheckError, match="unknown attribute"):
+            dataclasses.replace(spec, ast=parse_spec("c == true"))
+
+    def test_a_compiled_field_cannot_be_replaced(self, motorway_spec):
+        for name in _COMPILED:
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(motorway_spec, **{name: ()})
+
+    def test_fields_equality_repr_and_pickle(self, motorway_taxonomy, motorway_spec):
+        names = [f.name for f in dataclasses.fields(WellFormedSpec)]
+        assert names == ["ast", "taxonomy", *_COMPILED]
+        assert repr(motorway_spec) == (
+            f"WellFormedSpec(ast={motorway_spec.ast!r}, taxonomy={motorway_taxonomy!r})"
+        )
+        copy = pickle.loads(pickle.dumps(motorway_spec))
+        assert copy == motorway_spec and hash(copy) == hash(motorway_spec)
+        for name in _COMPILED:
+            assert getattr(copy, name) == getattr(motorway_spec, name)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(copy, name, getattr(copy, name))
+
+    def test_the_warning_names_the_caller_of_the_constructor(self, motorway_taxonomy):
+        ast = parse_spec("operational_speed == 45.0")
+        with pytest.warns(RealEqualityWarning) as caught:
+            WellFormedSpec(ast, motorway_taxonomy)
+            check_spec(ast, motorway_taxonomy)
+        assert [w.filename for w in caught] == [__file__, __file__]
 
 
 class TestAtoms:
