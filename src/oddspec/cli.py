@@ -3,8 +3,8 @@
 Exit codes: 0 success; 1 usage or I/O error; 2 validation error in a
 taxonomy, spec, or trace; 3 monitor run that detected at least one exit
 event under --fail-on-exit. Standard error carries diagnostics only: a
-warning on the spec is one ``warning:`` line and leaves the exit code as
-it is. A reader that closes standard output early is not an error.
+warning on the spec is one ``warning:`` line and does not change the exit
+code. A reader that closes standard output early is not an error.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--report", metavar="PATH", help="write a JSON report here")
     monitor.add_argument(
         "--fail-on-exit", action="store_true",
-        help="exit with status 3 if the trace ever leaves the design domain",
+        help="exit with status 3 if the trace ever goes outside the design domain",
     )
     monitor.set_defaults(func=cmd_monitor)
     return parser

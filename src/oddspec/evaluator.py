@@ -3,8 +3,8 @@
 Verdicts are three-valued (strong Kleene): an atom over an unmeasured
 attribute is Unknown. Evaluation codes a verdict as its rank in the truth
 order FALSE < UNKNOWN < TRUE (0, 1, 2): conjunction is ``min``, negation
-is ``2 - r`` and disjunction is ``max``. A ``Verdict`` is built only where
-a result leaves the module. On fully measured samples the semantics
+is ``2 - r`` and disjunction is ``max``. A ``Verdict`` is built only for
+a result the module returns. On fully measured samples the semantics
 collapses to ordinary two-valued logic.
 
 Attributes a specification never mentions cannot influence its verdict:
@@ -86,64 +86,58 @@ def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
         )
 
 
-def _retest(
-    groups: Sequence[Group], values, last_values, last_ranks: list[int], moved: list[int]
-) -> list[int]:
-    """The atom ranks on ``values``, given ``last_ranks`` on ``last_values``:
-    the atoms of each position whose value is ``!=`` the last are tested
-    again, 1 (Unknown) on an unmeasured value, else 2 or 0 as the test holds.
-    Each atom whose rank moves is appended to ``moved``, once, as an atom
-    belongs to one position. ``last_ranks`` is copied before the first rank
-    that moves is written, or returned as it is when none moves."""
-    ranks = last_ranks
+def _retest(groups: Sequence[Group], values, last_values, row: list[int]) -> list[tuple[int, int]]:
+    """The atoms whose rank on ``values`` differs from theirs in ``row``,
+    each as ``(atom, new rank)``, where ``row`` holds the ranks on
+    ``last_values``: the atoms of each position whose value is ``!=`` the
+    last are tested again, 1 (Unknown) on an unmeasured value, else 2 or 0
+    as the test holds. An atom belongs to one position, so it is listed at
+    most once. Nothing is written: the caller lifts each atom listed."""
+    moved = []
     for index, group in groups:
         if (value := values[index]) != last_values[index]:
-            for atom_index, test, literal in group:
+            for atom, test, literal in group:
                 rank = 1 if value is UNKNOWN else 2 * test(literal, value)
-                if rank != ranks[atom_index]:
-                    if ranks is last_ranks:
-                        ranks = last_ranks.copy()
-                    ranks[atom_index] = rank
-                    moved.append(atom_index)
-    return ranks
+                if rank != row[atom]:
+                    moved.append((atom, rank))
+    return moved
 
 
-def _lift(spec: WellFormedSpec, node_ranks: list[int], atom_index: int, rank: int) -> None:
-    """Give atom ``atom_index`` the rank ``rank`` in ``node_ranks``, one
-    rank per node of the spec's node table, each consistent with its
-    children: from each of the atom's leaves, recompute the ancestors
-    upward and stop at the first whose rank stays, as none above it moves."""
+def _lift(spec: WellFormedSpec, row: list[int], atom: int, rank: int) -> None:
+    """Give atom ``atom`` the rank ``rank`` in ``row``, one rank per node of
+    the spec's node table, each consistent with its children: from each of
+    the atom's parents, recompute the ancestors upward and stop at the first
+    whose rank stays, as none above it moves."""
+    row[atom] = rank
     parents, children = spec.parents, spec.children
-    for node in spec.leaves[atom_index]:
-        node_ranks[node] = rank
-        while (node := parents[node]) >= 0:
+    for node in parents[atom]:
+        while True:
             kids = children[node]
             if len(kids) == 1:
-                new = 2 - node_ranks[kids[0]]
-            elif (new := node_ranks[kids[0]]) > (right := node_ranks[kids[1]]):
+                new = 2 - row[kids[0]]
+            elif (new := row[kids[0]]) > (right := row[kids[1]]):
                 new = right
-            if node_ranks[node] == new:
+            if row[node] == new:
                 break
-            node_ranks[node] = new
+            row[node] = new
+            if not (above := parents[node]):
+                break
+            node = above[0]
 
 
-def _relift(spec: WellFormedSpec, groups, values, last_values, ranks, node_ranks) -> list[int]:
-    """``_retest`` the atoms of ``groups`` and ``_lift`` each one that moves
-    into ``node_ranks``; returns the atom ranks on ``values``."""
-    moved: list[int] = []
-    ranks = _retest(groups, values, last_values, ranks, moved)
-    for atom_index in moved:
-        _lift(spec, node_ranks, atom_index, ranks[atom_index])
-    return ranks
+def _relift(spec: WellFormedSpec, groups, values, last_values, row: list[int]) -> None:
+    """``_retest`` the atoms of ``groups`` and ``_lift`` each one that moves."""
+    for atom, rank in _retest(groups, values, last_values, row):
+        _lift(spec, row, atom, rank)
 
 
-def _evaluate(spec: WellFormedSpec, values) -> tuple[list[int], list[int]]:
-    """The atom ranks and the node ranks of ``spec`` on ``values``, from the
-    all-Unknown row, on which every atom and every node has rank 1; the
-    root's rank, ``node_ranks[-1]``, is the verdict."""
-    node_ranks = [1] * len(spec.parents)
-    unknown = (UNKNOWN,) * len(values)
-    return _relift(spec, spec.groups, values, unknown, [1] * len(spec.atoms), node_ranks), node_ranks
+def _evaluate(spec: WellFormedSpec, values) -> list[int]:
+    """The rank of every node of ``spec`` on ``values``, atoms first, from
+    the all-Unknown row, on which every node has rank 1; the root's rank,
+    ``row[-1]``, is the verdict."""
+    row = [1] * len(spec.parents)
+    _relift(spec, spec.groups, values, (UNKNOWN,) * len(values), row)
+    return row
 
 
 def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
@@ -170,8 +164,8 @@ def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
         raise EvaluationError(
             f"cannot compare: {exc}; was the spec checked against this taxonomy?"
         ) from None
-    unknown = (UNKNOWN,) * len(lod.values)
-    return _VERDICT[_retest(((index, ((0, test, literal),)),), lod.values, unknown, [1], [])[0]]
+    value = lod.values[index]
+    return Verdict.UNKNOWN if value is UNKNOWN else _VERDICT[2 * test(literal, value)]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
@@ -182,7 +176,7 @@ def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
     checked, its values are trusted.
     """
     _check_arity(lod, spec.taxonomy)
-    return _VERDICT[_evaluate(spec, lod.values)[1][-1]]
+    return _VERDICT[_evaluate(spec, lod.values)[-1]]
 
 
 def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
@@ -193,11 +187,12 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
             then undefined, not false.
     """
     _check_arity(lod, spec.taxonomy)
-    ranks, node_ranks = _evaluate(spec, lod.values)
-    if 1 in ranks:
-        name = spec.atoms[ranks.index(1)].attribute_name
-        raise UnknownValueError(f"attribute {name!r} is unmeasured; membership is undefined")
-    return node_ranks[-1] == 2
+    row = _evaluate(spec, lod.values)
+    for atom, rank in zip(spec.atoms, row):
+        if rank == 1:
+            name = atom.attribute_name
+            raise UnknownValueError(f"attribute {name!r} is unmeasured; membership is undefined")
+    return row[-1] == 2
 
 
 def _admitting_prefixes(
@@ -218,15 +213,15 @@ def _admitting_prefixes(
     descends past the last of them. The walk is a loop over a stack of
     value iterators, one per assigned position, never a recursion.
 
-    One row of atom ranks and one of node ranks serve the whole walk.
-    Assigning a value re-tests only its position's atoms, as no value
-    equals ``UNKNOWN``, and releasing it re-tests them on ``UNKNOWN``; the
-    atoms that move are lifted.
+    One row of node ranks serves the whole walk. Assigning a value re-tests
+    only its position's atoms, as no value equals ``UNKNOWN``, and
+    releasing it re-tests them on ``UNKNOWN``; the atoms that move are
+    lifted.
     """
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
     unknown = tuple(values)
     groups = {group[0]: (group,) for group in spec.groups}
-    ranks, node_ranks = [1] * len(spec.atoms), [1] * len(spec.parents)
+    row = [1] * len(spec.parents)
     # a checked spec has an atom, so spaces is not empty and the root is Unknown
     stack = [iter(spaces[order[0]])]
     while stack:
@@ -235,14 +230,14 @@ def _admitting_prefixes(
         group = groups.get(position, ())
         for value in stack[-1]:
             values[position] = value
-            ranks = _relift(spec, group, values, unknown, ranks, node_ranks)
-            if (rank := node_ranks[-1]) == 2:
+            _relift(spec, group, values, unknown, row)
+            if (rank := row[-1]) == 2:
                 yield values, depth
             elif rank == 1:
                 stack.append(iter(spaces[order[depth]]))
                 break
         else:
-            ranks = _relift(spec, group, unknown, values, ranks, node_ranks)
+            _relift(spec, group, unknown, values, row)
             values[position] = UNKNOWN
             stack.pop()
 
@@ -293,11 +288,11 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
     _check_arity(lod, spec.taxonomy)
-    ranks, node_ranks = _evaluate(spec, lod.values)
+    row = _evaluate(spec, lod.values)
     falsified, unknown = [], []
-    for atom, rank, blamed in zip(spec.atoms, ranks, spec.blame):
+    for atom, rank, blamed in zip(spec.atoms, row, spec.blame):
         if rank == 0 and blamed:
             falsified.append(atom)
         elif rank == 1:
             unknown.append(atom)
-    return Diagnosis(_VERDICT[node_ranks[-1]], tuple(falsified), tuple(unknown))
+    return Diagnosis(_VERDICT[row[-1]], tuple(falsified), tuple(unknown))

@@ -22,6 +22,7 @@ import enum
 import math
 import operator
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
@@ -114,13 +115,14 @@ class WellFormedSpec:
     value-index order, where ``test(literal, value)`` is the atom's truth on
     a measured value.
 
-    ``parents``, ``children`` and ``leaves`` are the tree as a flat node
-    table, numbered in post-order, so the root is the last node: a leaf is
-    one occurrence of an atom and has no children, a negation has one
-    child and a conjunction two. ``not not`` chains are folded out of the
-    table, so no negation's child is a negation. ``parents[n]`` is -1 for
-    the root, and ``leaves[i]`` lists the leaves of atom ``i``, which may
-    be several, of either polarity. Every evaluation computes node ranks
+    ``parents`` and ``children`` are the tree as a flat node table. Its
+    first nodes are the atoms, node ``i`` being atom ``i``, and the
+    operators follow in post-order, so every child precedes its parents and
+    the root is the last node. An atom has no children, a negation has one
+    child and a conjunction two; ``not not`` chains are folded out of the
+    table, so no negation's child is a negation. ``parents[i]`` lists one
+    parent per occurrence of atom ``i``, of either polarity, one for an
+    operator and none for the root. Every evaluation computes node ranks
     upward along it. ``mentioned_attributes`` is derived from ``atoms``.
 
     Raises:
@@ -135,12 +137,11 @@ class WellFormedSpec:
     atoms: tuple[Atom, ...] = field(init=False, compare=False, repr=False)
     blame: tuple[bool, ...] = field(init=False, compare=False, repr=False)
     groups: tuple[Group, ...] = field(init=False, compare=False, repr=False)
-    parents: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    parents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    leaves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, ast: SpecAst, taxonomy: Taxonomy):
-        found, blame, parents, children, leaves = _compile(ast)
+        found, blame, parents, children = _compile(ast)
         groups: dict[int, list] = {}
         # A plain loop, not a generator, so that RealEqualityWarning's
         # stacklevel names the caller of the constructor.
@@ -157,7 +158,6 @@ class WellFormedSpec:
         write(self, "groups", tuple((i, tuple(members)) for i, members in sorted(groups.items())))
         write(self, "parents", tuple(parents))
         write(self, "children", tuple(children))
-        write(self, "leaves", tuple(map(tuple, leaves)))
 
     @property
     def mentioned_attributes(self) -> frozenset[str]:
@@ -355,49 +355,48 @@ def parse_spec(text: str) -> SpecAst:
 # --------------------------------------------------------------------------
 
 
-def _compile(
-    ast: SpecAst,
-) -> tuple[list[Atom], list[bool], list[int], list[tuple], list[list[int]]]:
+def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tuple]]:
     """One walk of the tree: its distinct atoms in first-occurrence order,
-    each atom's blame flag and its node table (``WellFormedSpec.parents``,
-    ``children`` and ``leaves``), with ``not not`` chains folded out."""
+    each atom's blame flag and its node table (``WellFormedSpec.parents``
+    and ``children``), with ``not not`` chains folded out."""
     positions: dict[Atom, int] = {}
     blame: list[bool] = []
-    parents: list[int] = []
-    children: list[tuple] = []
-    leaves: list[list[int]] = []
+    operands: list[tuple[int, ...]] = []
 
-    def visit(node: SpecAst, positive: bool) -> None:
-        # post-order: a node is numbered after its children, so the node a
-        # visit adds last is the root of its subtree
+    def visit(node: SpecAst, positive: bool) -> int:
+        # the node's number: an atom's position, or -1 - j for the j-th
+        # operator in post-order, as the number of atoms is not yet known
         if isinstance(node, Atom):
             position = positions.setdefault(node, len(blame))
             if position == len(blame):
                 blame.append(positive)
-                leaves.append([])
             elif positive:
                 blame[position] = True
-            leaves[position].append(len(parents))
-            kids = ()
-        elif isinstance(node, Not):
+            return position
+        if isinstance(node, Not):
             if isinstance(node.operand, Not):  # not not p folds to p
                 return visit(node.operand.operand, positive)
-            visit(node.operand, not positive)
-            kids = (len(parents) - 1,)
+            operands.append((visit(node.operand, not positive),))
         elif isinstance(node, And):
-            visit(node.left, positive)
-            left_node = len(parents) - 1
-            visit(node.right, positive)
-            kids = (left_node, len(parents) - 1)
+            operands.append((visit(node.left, positive), visit(node.right, positive)))
         else:
             raise TypeError(f"not a spec node: {node!r}")
-        for kid in kids:
-            parents[kid] = len(parents)
-        parents.append(-1)
-        children.append(kids)
+        return -len(operands)
 
     visit(ast, True)
-    return list(positions), blame, parents, children, leaves
+    last = len(blame) - 1  # operator j becomes node last + 1 + j
+    children: list[tuple] = [()] * len(blame)
+    parents: list[tuple] = [()] * (len(blame) + len(operands))
+    for node, kids in enumerate(operands, last + 1):
+        left = kids[0] if kids[0] >= 0 else last - kids[0]
+        parents[left] += (node,)
+        if len(kids) == 1:
+            children.append((left,))
+        else:
+            right = kids[1] if kids[1] >= 0 else last - kids[1]
+            parents[right] += (node,)
+            children.append((left, right))
+    return list(positions), blame, parents, children
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
@@ -455,10 +454,15 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
             f"{atom.attribute_name}: '{atom.predicate.value}' is not defined for {unordered}"
         )
     if isinstance(kind, RealType) and atom.predicate is Predicate.EQ:
+        # name the caller of the constructor or of eval_atom, two frames up,
+        # or else the caller of the dataclasses.replace that built the spec
+        frame, level = sys._getframe(2), 3
+        while frame.f_globals.get("__name__") == "dataclasses":
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{atom.attribute_name}: exact equality on a real-valued attribute is fragile",
             RealEqualityWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
     if not value_in_domain(attribute, literal):

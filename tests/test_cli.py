@@ -51,6 +51,7 @@ TRACE = str(DATA / "flip.trace")
 NEGATED_SPEC = str(DATA / "negated.spec")
 DROPOUT_TRACE = str(DATA / "dropout.trace")
 LOD = str(DATA / "lod_out.json")
+RURAL_LOD = str(DATA / "lod_rural.json")
 REAL_EQUALITY = "operational_speed == 50 kmh"
 
 
@@ -78,6 +79,11 @@ GOLDEN_CASES = [
     (["validate", "--taxonomy", FINITE, "--spec", FINITE_SPEC], "validate_odd.txt"),
     (["check", "--taxonomy", TAXONOMY, "--spec", SPEC], "check.txt"),
     (["eval", "--taxonomy", TAXONOMY, "--spec", SPEC, "--lod", LOD], "eval.txt"),
+    # diagnose, not the monitor's flags, on an unmeasured atom and an unblamed negated one
+    (
+        ["eval", "--taxonomy", TAXONOMY, "--spec", NEGATED_SPEC, "--lod", RURAL_LOD],
+        "eval_negated.txt",
+    ),
     (["enumerate", "--taxonomy", FINITE], "enumerate_od.txt"),
     (["enumerate", "--taxonomy", FINITE, "--spec", FINITE_SPEC], "enumerate_odd.txt"),
     (["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", TRACE], "monitor.txt"),

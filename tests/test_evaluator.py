@@ -139,6 +139,29 @@ class TestEvalAtom:
         with pytest.raises(PredicateNotApplicableError):
             eval_atom(Atom("road_type", Predicate.GT, "motorway"), lod, motorway_taxonomy)
 
+    @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
+    def test_every_atom_of_random_specs_agrees_with_the_truth_tables(self, taxonomy):
+        rng = random.Random(f"atom-oracle:{taxonomy.version}")
+        orders = label_orders_of(taxonomy)
+        spaces = _value_spaces(taxonomy)
+        seen = set()
+        for _ in range(10):
+            spec = check_spec(random_spec(rng, taxonomy, 5), taxonomy)
+            for _ in range(10):
+                values = tuple(
+                    UNKNOWN if rng.random() < 0.3 else rng.choice(space) for space in spaces
+                )
+                partial = {
+                    name: None if value is UNKNOWN else value
+                    for name, value in assignment_of(taxonomy, values).items()
+                }
+                lod = Lod(0.0, 0.0, 0.0, values)
+                for atom in spec.atoms:
+                    verdict = eval_atom(atom, lod, taxonomy).value
+                    assert verdict == eval_kleene(atom, partial, orders)
+                    seen.add(verdict)
+        assert "unknown" in seen
+
 
 class TestEvalSpec:
     def test_motorway_example_true(self, motorway_taxonomy, motorway_spec):

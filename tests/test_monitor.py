@@ -90,7 +90,6 @@ class TestInit:
         assert all(seconds == 0.0 for seconds in state.dwell.values())
         # the all-Unknown row, on which every atom has rank 1
         assert state.last_values == (UNKNOWN,) * len(FLAG_TAXONOMY)
-        assert state.last_ranks == [1] * len(spec.atoms)
         assert state.node_ranks == [1] * len(spec.parents)
         assert state.violations == state.run_starts == [0] * len(spec.atoms)
         # a first sample with every attribute unmeasured repeats those ranks,
@@ -116,7 +115,7 @@ class TestInit:
             {"last_verdict": Verdict.TRUE},
             {"counts": {}},
             {"dwell": {}},
-            {"last_ranks": []},
+            {"node_ranks": []},
         ],
         ids=lambda derived: next(iter(derived)),
     )
@@ -526,7 +525,7 @@ def _snapshot(state):
     """Every field a step may write, copied."""
     return (
         state.last_verdict, state.last_t, dict(state.counts), dict(state.dwell),
-        state.last_values, list(state.last_ranks), list(state.node_ranks),
+        state.last_values, list(state.node_ranks),
         list(state.falsified), list(state.unknown), list(state.violations),
         list(state.run_starts),
     )
@@ -645,7 +644,7 @@ class TestChangedAttributes:
         rows = _changing_rows(rng, spaces, 40)
         samples = [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)]
         state, _, _ = fold(spec, samples)
-        last_values, last_ranks = state.last_values, list(state.last_ranks)
+        last_values = state.last_values
         snapshot = _snapshot(state)
         changed = make_lod(taxonomy, _changing_rows(rng, spaces, 2)[1], t=float(len(rows) - 1))
         with pytest.raises(MonitorError, match="increase"):
@@ -653,7 +652,6 @@ class TestChangedAttributes:
         with pytest.raises(EvaluationError, match="values"):
             monitor_step(state, Lod(float(len(rows)), 0.0, 0.0, changed.values[:-1]))
         assert state.last_values is last_values
-        assert state.last_ranks == last_ranks
         assert _snapshot(state) == snapshot
 
     def test_a_test_that_raises_commits_nothing(self):
@@ -664,23 +662,23 @@ class TestChangedAttributes:
         spec = check_spec(parse_spec("flag == true and count < 3"), taxonomy)
         samples = [make_lod(taxonomy, {"count": 1, "flag": True}, t=0.0)]
         state, _, _ = fold(spec, samples)
-        snapshot = (state.last_values, list(state.last_ranks), state.last_t, dict(state.counts))
+        snapshot = (state.last_values, list(state.node_ranks), state.last_t, dict(state.counts))
         whole = _snapshot(state)
         # a sample not built from the taxonomy: its count cannot be ordered
         with pytest.raises(TypeError):
             monitor_step(state, Lod(1.0, 0.0, 0.0, ("many", False)))
-        assert (state.last_values, state.last_ranks, state.last_t, state.counts) == snapshot
+        assert (state.last_values, state.node_ranks, state.last_t, state.counts) == snapshot
         assert _snapshot(state) == whole
         _, verdict, _ = monitor_step(state, make_lod(taxonomy, {"count": 1, "flag": False}, t=2.0))
         assert verdict is Verdict.FALSE
 
 
 def _subtree_plans(spec):
-    """The plan of every node's subtree, rebuilt from the node table alone."""
-    atom_of = {leaf: atom for atom, leaves in enumerate(spec.leaves) for leaf in leaves}
+    """The plan of every node's subtree, rebuilt from the node table alone:
+    a childless node is the atom of its own number."""
     plans = []
     for node, kids in enumerate(spec.children):
-        plans.append(atom_of[node] if not kids else tuple(plans[kid] for kid in kids))
+        plans.append(node if not kids else tuple(plans[kid] for kid in kids))
     return plans
 
 
@@ -708,22 +706,26 @@ def _fold(plan, ranks):
 
 
 def _assert_node_ranks(ast, spec, rows, orders):
-    """Step the samples of ``rows``; after each, every node's rank is a fresh
-    fold of its subtree, the root's is the truth-table referee's verdict, and
-    an evaluation of the sample alone gives the same atom and node ranks."""
+    """Step the samples of ``rows``; after each, the first ``n`` node ranks
+    are the referee's verdicts on the ``n`` atoms, every node's rank is a
+    fresh fold of its subtree, the root's is the referee's verdict, and an
+    evaluation of the sample alone gives the same row, atoms first again."""
     plans = _subtree_plans(spec)
     state = monitor_init(spec, spec.taxonomy)
+    size = len(spec.atoms)
     for i, row in enumerate(rows):
         sample = make_lod(spec.taxonomy, row, t=float(i))
         monitor_step(state, sample)
-        assert state.last_ranks == [state.node_ranks[leaves[0]] for leaves in spec.leaves]
-        assert state.node_ranks == [_fold(plan, state.last_ranks) for plan in plans]
+        verdicts = [_RANK_OF[eval_kleene(atom, row, orders)] for atom in spec.atoms]
+        assert state.node_ranks[:size] == verdicts
+        assert state.node_ranks == [_fold(plan, state.node_ranks) for plan in plans]
         assert _VERDICT_NAMES[state.node_ranks[-1]] == eval_kleene(ast, row, orders)
-        assert _evaluate(spec, sample.values) == (state.last_ranks, state.node_ranks)
+        assert _evaluate(spec, sample.values) == state.node_ranks
     return state
 
 
 _VERDICT_NAMES = ("false", "unknown", "true")
+_RANK_OF = {name: rank for rank, name in enumerate(_VERDICT_NAMES)}
 
 
 class TestNodeTable:
@@ -737,17 +739,30 @@ class TestNodeTable:
             ast = random_spec(rng, taxonomy, 6)
             spec = check_spec(ast, taxonomy)
             assert _subtree_plans(spec)[-1] == _plan_of(ast, spec.atoms)
-            assert spec.parents[-1] == -1
+            size = len(spec.atoms)
+            assert len(spec.parents) == len(spec.children)
+            assert [node for node, kids in enumerate(spec.children) if not kids] == list(
+                range(size)
+            )
+            # a child precedes each parent it lists, once per occurrence, and
+            # every parent lists it back as often
             for node, kids in enumerate(spec.children):
-                assert all(kid < node and spec.parents[kid] == node for kid in kids)
-            leaves = sorted(leaf for atom_leaves in spec.leaves for leaf in atom_leaves)
-            assert leaves == [node for node, kids in enumerate(spec.children) if not kids]
+                for kid in kids:
+                    assert kid < node
+                    assert spec.parents[kid].count(node) == kids.count(kid)
+            for node, above in enumerate(spec.parents):
+                assert all(node in spec.children[parent] for parent in above)
+            # only the root has no parent, and only an atom has more than one
+            assert [node for node, above in enumerate(spec.parents) if not above] == [
+                len(spec.parents) - 1
+            ]
+            assert all(len(above) == 1 for above in spec.parents[size:-1])
 
     @pytest.mark.parametrize("text", BOTH_POLARITY_SPECS)
     def test_an_atom_with_leaves_of_both_polarities(self, text):
         ast = parse_spec(text)
         spec = check_spec(ast, TRIO_TAXONOMY)
-        assert any(len(leaves) > 1 for leaves in spec.leaves)
+        assert any(len(spec.parents[atom]) > 1 for atom in range(len(spec.atoms)))
         spaces = {"a": ["x", "y", None], "flag": [True, False, None], "b": [True, False, None]}
         rows = _changing_rows(random.Random(text), spaces, 200)
         _assert_node_ranks(ast, spec, rows, label_orders_of(TRIO_TAXONOMY))
@@ -769,18 +784,17 @@ class TestNodeTable:
         rows = [{"a": False, "b": True}, {"a": False, "b": None}, {"a": False, "b": False}]
         samples = [make_lod(PAIR_TAXONOMY, r, t=float(i)) for i, r in enumerate(rows)]
         state = _assert_node_ranks(ast, spec, rows[:1], {})
-        conjunction = spec.parents[spec.leaves[spec.atoms.index(B_ATOM)][0]]
+        b_atom = spec.atoms.index(B_ATOM)
+        (conjunction,) = spec.parents[b_atom]
         for sample, b_rank in zip(samples[1:], (1, 0)):
             _, verdict, events = monitor_step(state, sample)
-            assert state.node_ranks[spec.leaves[spec.atoms.index(B_ATOM)][0]] == b_rank
+            assert state.node_ranks[b_atom] == b_rank
             # the False left operand masks the change: neither the
             # conjunction nor the negation above it moves
             assert state.node_ranks[conjunction] == 0
             assert state.node_ranks[-1] == 2
             assert (verdict, events) == (Verdict.TRUE, [])
 
-
-_RANK_OF = {name: rank for rank, name in enumerate(_VERDICT_NAMES)}
 
 
 class TestAtomFlags:
@@ -814,20 +828,18 @@ class TestAtomFlags:
         for _ in range(6):
             spec = check_spec(random_spec(rng, base, 6), taxonomy)
             size = len(spec.atoms)
-            last_values, last_ranks = (UNKNOWN,) * len(taxonomy), [1] * size
+            last_values, last_row = (UNKNOWN,) * len(taxonomy), [1] * len(spec.parents)
             for row in _changing_rows(rng, spaces, 80):
                 values = make_lod(taxonomy, row).values
-                full, _ = _evaluate(spec, values)
-                kept = list(last_ranks)
-                moved = []
-                ranks = _retest(spec.groups, values, last_values, last_ranks, moved)
-                assert ranks == full
-                assert len(moved) == len(set(moved))
-                assert set(moved) == {i for i in range(size) if full[i] != kept[i]}
-                # the last row is copied before a write, and only then
-                assert last_ranks == kept
-                assert (ranks is last_ranks) == (not moved)
-                last_values, last_ranks = values, ranks
+                full = _evaluate(spec, values)
+                kept = list(last_row)
+                moved = _retest(spec.groups, values, last_values, last_row)
+                atoms_moved = [atom for atom, _ in moved]
+                assert len(atoms_moved) == len(set(atoms_moved))
+                assert dict(moved) == {i: full[i] for i in range(size) if full[i] != kept[i]}
+                # the last row is read, never written
+                assert last_row == kept
+                last_values, last_row = values, full
 
 
 

@@ -317,16 +317,16 @@ class TestPlan:
     def test_double_negation_folds_away(self):
         taxonomy = Taxonomy((Attribute("a", BoolType()), Attribute("b", BoolType())))
         plain = check_spec(parse_spec("a == true"), taxonomy)
-        assert (plain.children, plain.leaves) == (((),), ((0,),))
+        assert (plain.children, plain.parents) == (((),), ((),))
         for text in ("not not a == true", "not not not not a == true"):
             spec = check_spec(parse_spec(text), taxonomy)
-            assert (spec.children, spec.leaves) == (plain.children, plain.leaves)
+            assert (spec.children, spec.parents) == (plain.children, plain.parents)
             assert spec.blame == plain.blame
             assert serialize_spec(spec.ast) == text
         mixed = check_spec(parse_spec("not not not (a == true and not not b == false)"), taxonomy)
-        # the two leaves, their conjunction, and one negation above it
+        # the two atoms, their conjunction, and one negation above it
         assert mixed.children == ((), (), (0, 1), (2,))
-        assert mixed.leaves == ((0,), (1,))
+        assert mixed.parents == ((2,), (2,), (3,), ())
         assert mixed.blame == (False, False)
 
     @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
@@ -347,7 +347,7 @@ class TestPlan:
             ]
 
 
-_COMPILED = ("atoms", "blame", "groups", "parents", "children", "leaves")
+_COMPILED = ("atoms", "blame", "groups", "parents", "children")
 
 
 def _random_verdicts(rng, spec, count=20):
@@ -437,10 +437,12 @@ class TestConstructor:
 
     def test_the_warning_names_the_caller_of_the_constructor(self, motorway_taxonomy):
         ast = parse_spec("operational_speed == 45.0")
+        spec = check_spec(parse_spec("operational_speed < 45.0"), motorway_taxonomy)
         with pytest.warns(RealEqualityWarning) as caught:
             WellFormedSpec(ast, motorway_taxonomy)
             check_spec(ast, motorway_taxonomy)
-        assert [w.filename for w in caught] == [__file__, __file__]
+            dataclasses.replace(spec, ast=ast)
+        assert [w.filename for w in caught] == [__file__, __file__, __file__]
 
 
 class TestAtoms:
