@@ -65,7 +65,7 @@ def is_unknown(value: AttributeValue) -> bool:
     return value is UNKNOWN
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Lod:
     """One domain sample: values in taxonomy attribute order, at time ``t``
     and place ``(x, y)``. Every way of building a sample ends in this check
@@ -87,13 +87,18 @@ class Lod:
             x = _number("'x'", x)
         if type(y) is not float or not abs(y) <= _FLOAT_MAX:
             y = _number("'y'", y)
-        # written past the frozen __setattr__, which would cost a call per
-        # field; the instance then holds a dict of its own, 64 bytes more
-        fields = self.__dict__
-        fields["t"] = t
-        fields["x"] = x
-        fields["y"] = y
-        fields["values"] = values
+        # written through the slots, past the frozen __setattr__, which
+        # would cost a call per field
+        _set_t(self, t)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_values(self, values)
+
+
+_set_t = Lod.__dict__["t"].__set__
+_set_x = Lod.__dict__["x"].__set__
+_set_y = Lod.__dict__["y"].__set__
+_set_values = Lod.__dict__["values"].__set__
 
 
 def _number(name: str, value) -> float:

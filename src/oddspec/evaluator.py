@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -54,7 +55,7 @@ def kleene_and(left: Verdict, right: Verdict) -> Verdict:
     return _VERDICT[min(_RANK[left], _RANK[right])]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Diagnosis:
     """Per-atom breakdown of a verdict.
 
@@ -71,35 +72,82 @@ class Diagnosis:
     def __init__(
         self, verdict: Verdict, falsified_atoms: tuple[Atom, ...], unknown_atoms: tuple[Atom, ...]
     ):
-        # written past the frozen __setattr__, as Lod's are
-        fields = self.__dict__
-        fields["verdict"] = verdict
-        fields["falsified_atoms"] = falsified_atoms
-        fields["unknown_atoms"] = unknown_atoms
+        # written through the slots, past the frozen __setattr__, as Lod's are
+        _set_verdict(self, verdict)
+        _set_falsified_atoms(self, falsified_atoms)
+        _set_unknown_atoms(self, unknown_atoms)
 
 
-def _check_arity(lod: Lod, taxonomy: Taxonomy) -> None:
-    if len(lod.values) != len(taxonomy.attributes):
+_set_verdict = Diagnosis.__dict__["verdict"].__set__
+_set_falsified_atoms = Diagnosis.__dict__["falsified_atoms"].__set__
+_set_unknown_atoms = Diagnosis.__dict__["unknown_atoms"].__set__
+
+
+def _check_arity(values: tuple, taxonomy: Taxonomy) -> None:
+    if len(values) != len(taxonomy.attributes):
         raise EvaluationError(
-            f"sample has {len(lod.values)} values but the taxonomy declares "
+            f"sample has {len(values)} values but the taxonomy declares "
             f"{len(taxonomy.attributes)} attributes"
         )
 
 
-def _retest(groups: Sequence[Group], values, last_values, row: list[int]) -> list[tuple[int, int]]:
+# the hint of a position whose last value is Unknown, or that has none yet:
+# an open interval that holds no value
+_NO_HINT = (0, 0)
+
+
+def _hint(literals: tuple, value) -> tuple:
+    """The open interval between the two consecutive ``literals`` (``-inf``
+    and ``inf`` past the ends) that holds ``value``; on a literal, the empty
+    interval at it."""
+    cut = bisect_right(literals, value)
+    low = literals[cut - 1] if cut else -math.inf
+    if low == value:
+        return (value, value)
+    return (low, literals[cut] if cut < len(literals) else math.inf)
+
+
+def _retest(
+    groups: Sequence[Group], values, last_values, row: list[int], hints
+) -> list[tuple[int, int]]:
     """The atoms whose rank on ``values`` differs from theirs in ``row``,
     each as ``(atom, new rank)``, where ``row`` holds the ranks on
     ``last_values``: the atoms of each position whose value is ``!=`` the
     last are tested again, 1 (Unknown) on an unmeasured value, else 2 or 0
     as the test holds. An atom belongs to one position, so it is listed at
-    most once. Nothing is written: the caller lifts each atom listed."""
-    moved = []
-    for index, group in groups:
-        if (value := values[index]) != last_values[index]:
+    most once. Nothing in ``row`` is written: the caller lifts each atom
+    listed.
+
+    ``hints`` holds one open interval per position of a number: ``_hint``
+    of its last value, or the empty ``_NO_HINT``. Every atom compares its
+    attribute with a literal, and no literal lies inside a hint, so when a
+    measured value changes to another that lies strictly inside the hint,
+    no atom of the position can move and its group is skipped. Any other
+    change re-tests the group. A measured value that changes to another
+    gives the position the new value's hint, and one that changes to
+    Unknown ``_NO_HINT``; a change from Unknown leaves the hint, which is
+    then ``_NO_HINT``. So the first change after an Unknown value always
+    re-tests, and an evaluation whose last values are all Unknown neither
+    reads nor writes a hint. The hints are written only once every test
+    has run, so a test that raises leaves them as they were."""
+    moved, cells = [], ()
+    for index, group, literals in groups:
+        if (value := values[index]) != (last := last_values[index]):
+            if literals is not None and last is not UNKNOWN:
+                if value is UNKNOWN:
+                    hint = _NO_HINT
+                else:
+                    low, high = hints[index]
+                    if low < value < high:
+                        continue
+                    hint = _hint(literals, value)
+                cells += ((index, hint),)
             for atom, test, literal in group:
                 rank = 1 if value is UNKNOWN else 2 * test(literal, value)
                 if rank != row[atom]:
                     moved.append((atom, rank))
+    for index, hint in cells:
+        hints[index] = hint
     return moved
 
 
@@ -125,9 +173,9 @@ def _lift(spec: WellFormedSpec, row: list[int], atom: int, rank: int) -> None:
             node = above[0]
 
 
-def _relift(spec: WellFormedSpec, groups, values, last_values, row: list[int]) -> None:
+def _relift(spec: WellFormedSpec, groups, values, last_values, row: list[int], hints) -> None:
     """``_retest`` the atoms of ``groups`` and ``_lift`` each one that moves."""
-    for atom, rank in _retest(groups, values, last_values, row):
+    for atom, rank in _retest(groups, values, last_values, row, hints):
         _lift(spec, row, atom, rank)
 
 
@@ -136,7 +184,8 @@ def _evaluate(spec: WellFormedSpec, values) -> list[int]:
     the all-Unknown row, on which every node has rank 1; the root's rank,
     ``row[-1]``, is the verdict."""
     row = [1] * len(spec.parents)
-    _relift(spec, spec.groups, values, (UNKNOWN,) * len(values), row)
+    # the last values are all Unknown, so no hint is read or written
+    _relift(spec, spec.groups, values, (UNKNOWN,) * len(values), row, ())
     return row
 
 
@@ -155,7 +204,7 @@ def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
-    _check_arity(lod, taxonomy)
+    _check_arity(lod.values, taxonomy)
     try:
         index, test, literal = _check_atom(atom, taxonomy)
     except PredicateNotApplicableError:
@@ -175,7 +224,7 @@ def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:
     ``parse_lod``, ``parse_trace`` or ``enumerate_od``); only its arity is
     checked, its values are trusted.
     """
-    _check_arity(lod, spec.taxonomy)
+    _check_arity(lod.values, spec.taxonomy)
     return _VERDICT[_evaluate(spec, lod.values)[-1]]
 
 
@@ -186,7 +235,7 @@ def in_odd(spec: WellFormedSpec, lod: Lod) -> bool:
         UnknownValueError: a mentioned attribute is Unknown; membership is
             then undefined, not false.
     """
-    _check_arity(lod, spec.taxonomy)
+    _check_arity(lod.values, spec.taxonomy)
     row = _evaluate(spec, lod.values)
     for atom, rank in zip(spec.atoms, row):
         if rank == 1:
@@ -216,12 +265,14 @@ def _admitting_prefixes(
     One row of node ranks serves the whole walk. Assigning a value re-tests
     only its position's atoms, as no value equals ``UNKNOWN``, and
     releasing it re-tests them on ``UNKNOWN``; the atoms that move are
-    lifted.
+    lifted. An assignment passes ``UNKNOWN`` as the last value, so it reads
+    no hint and skips no group.
     """
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
     unknown = tuple(values)
     groups = {group[0]: (group,) for group in spec.groups}
     row = [1] * len(spec.parents)
+    hints = [_NO_HINT] * len(spaces)
     # a checked spec has an atom, so spaces is not empty and the root is Unknown
     stack = [iter(spaces[order[0]])]
     while stack:
@@ -230,14 +281,14 @@ def _admitting_prefixes(
         group = groups.get(position, ())
         for value in stack[-1]:
             values[position] = value
-            _relift(spec, group, values, unknown, row)
+            _relift(spec, group, values, unknown, row, hints)
             if (rank := row[-1]) == 2:
                 yield values, depth
             elif rank == 1:
                 stack.append(iter(spaces[order[depth]]))
                 break
         else:
-            _relift(spec, group, unknown, values, row)
+            _relift(spec, group, unknown, values, row, hints)
             values[position] = UNKNOWN
             stack.pop()
 
@@ -279,7 +330,7 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     """
     _check_binding(spec.taxonomy, taxonomy, "spec was checked against", EvaluationError)
     spaces = value_spaces(taxonomy)
-    mentioned = [index for index, _ in spec.groups]
+    mentioned = [group[0] for group in spec.groups]
     order = mentioned + [index for index in range(len(spaces)) if index not in mentioned]
     sizes = [_type_cardinality(taxonomy.attributes[index].attr_type) for index in order]
     return sum(math.prod(sizes[depth:]) for _, depth in _admitting_prefixes(spec, spaces, order))
@@ -287,7 +338,7 @@ def count_odd(taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 
 def diagnose(spec: WellFormedSpec, lod: Lod) -> Diagnosis:
     """Evaluate and name the atoms responsible for a non-True verdict."""
-    _check_arity(lod, spec.taxonomy)
+    _check_arity(lod.values, spec.taxonomy)
     row = _evaluate(spec, lod.values)
     falsified, unknown = [], []
     for atom, rank, blamed in zip(spec.atoms, row, spec.blame):

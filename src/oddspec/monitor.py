@@ -20,7 +20,7 @@ from itertools import compress
 
 from .domain import UNKNOWN, Lod, Trace
 from .errors import MonitorError
-from .evaluator import _VERDICT, Diagnosis, Verdict, _check_arity, _lift, _retest
+from .evaluator import _NO_HINT, _VERDICT, Diagnosis, Verdict, _check_arity, _lift, _retest
 from .specdsl import Atom, WellFormedSpec, serialize_spec
 from .taxonomy import _FLOAT_MAX, Taxonomy, _check_binding
 
@@ -32,7 +32,7 @@ class EventKind(enum.Enum):
     UNKNOWN_END = "unknown_end"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class MonitorEvent:
     """A transition of the verdict: its kind, the time and index of the
     sample that caused it, and that sample's diagnosis."""
@@ -43,12 +43,17 @@ class MonitorEvent:
     diagnosis: Diagnosis
 
     def __init__(self, kind: EventKind, t: float, sample_index: int, diagnosis: Diagnosis):
-        # written past the frozen __setattr__, as Lod's are
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["t"] = t
-        fields["sample_index"] = sample_index
-        fields["diagnosis"] = diagnosis
+        # written through the slots, past the frozen __setattr__, as Lod's are
+        _set_kind(self, kind)
+        _set_t(self, t)
+        _set_sample_index(self, sample_index)
+        _set_diagnosis(self, diagnosis)
+
+
+_set_kind = MonitorEvent.__dict__["kind"].__set__
+_set_t = MonitorEvent.__dict__["t"].__set__
+_set_sample_index = MonitorEvent.__dict__["sample_index"].__set__
+_set_diagnosis = MonitorEvent.__dict__["diagnosis"].__set__
 
 
 # Events per (previous verdict, new verdict); None means before any sample.
@@ -78,10 +83,15 @@ class MonitorState:
 
     An atom's rank depends only on its attribute's value, so the fold keeps
     the last sample's values tuple (``last_values``) and re-tests only the
-    atoms of the attributes whose value differs. ``node_ranks`` holds one
-    rank per node of the spec's node table (``WellFormedSpec.parents``),
-    atom ``i``'s at node ``i``; for each atom whose rank moved, the fold
-    walks up from it, and the root's rank is the verdict.
+    atoms of the attributes whose value differs. ``hints`` holds, per
+    taxonomy position, the open interval between two consecutive literals
+    of the spec that held its last value, or the empty ``_NO_HINT`` when
+    that value is Unknown or followed an Unknown one (``evaluator._retest``):
+    a measured number that moves inside it moves no atom, so its atoms are
+    not re-tested. ``node_ranks`` holds one rank per node of the spec's
+    node table (``WellFormedSpec.parents``), atom ``i``'s at node ``i``;
+    for each atom whose rank moved, the fold walks up from it, and the
+    root's rank is the verdict.
 
     The diagnosis is kept per atom as well: ``falsified[i]`` says atom ``i``
     is blamed and has rank 0, ``unknown[i]`` that it has rank 1. The flags
@@ -101,6 +111,7 @@ class MonitorState:
         self.counts = dict.fromkeys(Verdict, 0)
         self.dwell = dict.fromkeys(Verdict, 0.0)
         self.last_values = (UNKNOWN,) * len(spec.taxonomy)
+        self.hints = [_NO_HINT] * len(spec.taxonomy)
         self.node_ranks = [1] * len(spec.parents)
         self.falsified = [False] * len(spec.atoms)
         self.unknown = [True] * len(spec.atoms)
@@ -151,7 +162,8 @@ def monitor_step(
     Dwell time attributes the interval from the previous sample to this
     one to the PREVIOUS verdict (sample-and-hold). Only the atoms of the
     attributes whose value is ``!=`` the previous sample's are tested
-    again: for the values a taxonomy holds, equal values pass the same
+    again, those of a number only when it leaves the hint of its last
+    value: for the values a taxonomy holds, equal values pass the same
     tests. The atoms whose rank moved, as the re-test lists them, are the
     only ones whose nodes, flags and runs are updated. A ``Diagnosis`` is
     built only for a sample that emits events, from the per-atom flags in
@@ -161,14 +173,15 @@ def monitor_step(
         MonitorError: the sample's timestamp does not increase.
         EvaluationError: the sample's arity does not match the taxonomy.
     """
+    t, values = cod.t, cod.values
     last_t = state.last_t
-    if last_t is not None and not cod.t > last_t:
-        raise MonitorError(f"timestamp {cod.t} does not increase past {last_t}")
+    if last_t is not None and not t > last_t:
+        raise MonitorError(f"timestamp {t} does not increase past {last_t}")
     spec = state.spec
-    _check_arity(cod, spec.taxonomy)
-    moved = _retest(spec.groups, cod.values, state.last_values, state.node_ranks)
+    _check_arity(values, spec.taxonomy)
+    moved = _retest(spec.groups, values, state.last_values, state.node_ranks, state.hints)
     # nothing below raises, so a refused sample commits nothing
-    state.last_values = cod.values
+    state.last_values = values
     if moved:
         index = state.samples_total
         row, blame, starts = state.node_ranks, spec.blame, state.run_starts
@@ -187,10 +200,10 @@ def monitor_step(
     verdict = _VERDICT[state.node_ranks[-1]]
     last_verdict = state.last_verdict
     if last_t is not None:
-        state.dwell[last_verdict] += cod.t - last_t
+        state.dwell[last_verdict] += t - last_t
     state.counts[verdict] += 1
     state.last_verdict = verdict
-    state.last_t = cod.t
+    state.last_t = t
     # a repeated verdict has no events, and no entry in _TRANSITIONS
     if verdict is last_verdict:
         return state, verdict, []
@@ -202,7 +215,7 @@ def monitor_step(
         verdict, tuple(compress(atoms, state.falsified)), tuple(compress(atoms, state.unknown))
     )
     kinds = _TRANSITIONS[(last_verdict, verdict)]
-    return state, verdict, [MonitorEvent(kind, cod.t, index, diagnosis) for kind in kinds]
+    return state, verdict, [MonitorEvent(kind, t, index, diagnosis) for kind in kinds]
 
 
 def run_monitor(

@@ -88,7 +88,8 @@ SpecAst = Union[Atom, Not, And]
 
 Test = Callable[[object, object], bool]
 Probe = tuple[int, Test, object]  # (value index, test, literal)
-Group = tuple[int, tuple[tuple[int, Test, object], ...]]  # see WellFormedSpec.groups
+# see WellFormedSpec.groups
+Group = tuple[int, tuple[tuple[int, Test, object], ...], Union[tuple, None]]
 
 
 @dataclass(frozen=True, init=False)
@@ -111,9 +112,12 @@ class WellFormedSpec:
     ``atoms`` are the distinct atoms in first-occurrence order; ``blame[i]``
     is true when atom ``i`` occurs under an even number of negations.
     ``groups`` is the one table of compiled atom tests: one ``(value index,
-    ((atom index, test, literal), ...))`` per mentioned attribute, in
-    value-index order, where ``test(literal, value)`` is the atom's truth on
-    a measured value.
+    ((atom index, test, literal), ...), literals)`` per mentioned attribute,
+    in value-index order, where ``test(literal, value)`` is the atom's truth
+    on a measured value. For an int or real attribute ``literals`` is the
+    sorted distinct literals of its atoms, which cut its domain into cells
+    on each of which every atom keeps its verdict; for an enum or bool
+    attribute it is ``None``.
 
     ``parents`` and ``children`` are the tree as a flat node table. Its
     first nodes are the atoms, node ``i`` being atom ``i``, and the
@@ -127,7 +131,8 @@ class WellFormedSpec:
 
     Raises:
         SpecCheckError: unknown attribute, literal kind mismatch,
-            out-of-domain literal, or unit mismatch.
+            out-of-domain literal, unit mismatch, or a tree deeper than
+            ``parse_spec`` accepts.
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
@@ -148,14 +153,14 @@ class WellFormedSpec:
         for atom_index, atom in enumerate(found):
             index, test, literal = _check_atom(atom, taxonomy)
             groups.setdefault(index, []).append((atom_index, test, literal))
-        # past the frozen __setattr__, but not into self.__dict__ as Lod's
-        # are: that dict would make every later read of a field 4x slower
+        # past the frozen __setattr__, but not into self.__dict__: that dict
+        # would make every later read of a field 4x slower
         write = object.__setattr__
         write(self, "ast", ast)
         write(self, "taxonomy", taxonomy)
         write(self, "atoms", tuple(found))
         write(self, "blame", tuple(blame))
-        write(self, "groups", tuple((i, tuple(members)) for i, members in sorted(groups.items())))
+        write(self, "groups", tuple(_group(taxonomy, *item) for item in sorted(groups.items())))
         write(self, "parents", tuple(parents))
         write(self, "children", tuple(children))
 
@@ -163,6 +168,15 @@ class WellFormedSpec:
     def mentioned_attributes(self) -> frozenset[str]:
         """Names of the attributes the spec's atoms compare."""
         return frozenset(atom.attribute_name for atom in self.atoms)
+
+
+def _group(taxonomy: Taxonomy, index: int, members: list) -> Group:
+    """One row of ``WellFormedSpec.groups``: a position's compiled atom tests
+    and, for a number, their sorted distinct literals."""
+    literals = None
+    if isinstance(taxonomy.attributes[index].attr_type, (IntType, RealType)):
+        literals = tuple(sorted({literal for _, _, literal in members}))
+    return (index, tuple(members), literals)
 
 
 # --------------------------------------------------------------------------
@@ -358,14 +372,20 @@ def parse_spec(text: str) -> SpecAst:
 def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tuple]]:
     """One walk of the tree: its distinct atoms in first-occurrence order,
     each atom's blame flag and its node table (``WellFormedSpec.parents``
-    and ``children``), with ``not not`` chains folded out."""
+    and ``children``), with ``not not`` chains folded out.
+
+    Raises:
+        SpecCheckError: the tree is deeper than ``parse_spec`` accepts.
+    """
     positions: dict[Atom, int] = {}
     blame: list[bool] = []
     operands: list[tuple[int, ...]] = []
 
-    def visit(node: SpecAst, positive: bool) -> int:
+    def visit(node: SpecAst, positive: bool, level: int = 1) -> int:
         # the node's number: an atom's position, or -1 - j for the j-th
         # operator in post-order, as the number of atoms is not yet known
+        if level > _MAX_DEPTH:
+            raise SpecCheckError(f"the spec nests too deeply: more than {_MAX_DEPTH} levels")
         if isinstance(node, Atom):
             position = positions.setdefault(node, len(blame))
             if position == len(blame):
@@ -375,10 +395,11 @@ def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tu
             return position
         if isinstance(node, Not):
             if isinstance(node.operand, Not):  # not not p folds to p
-                return visit(node.operand.operand, positive)
-            operands.append((visit(node.operand, not positive),))
+                return visit(node.operand.operand, positive, level + 2)
+            operands.append((visit(node.operand, not positive, level + 1),))
         elif isinstance(node, And):
-            operands.append((visit(node.left, positive), visit(node.right, positive)))
+            level += 1
+            operands.append((visit(node.left, positive, level), visit(node.right, positive, level)))
         else:
             raise TypeError(f"not a spec node: {node!r}")
         return -len(operands)
@@ -400,7 +421,11 @@ def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tu
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
-    """Distinct atoms in first-occurrence order."""
+    """Distinct atoms in first-occurrence order.
+
+    Raises:
+        SpecCheckError: the tree is deeper than ``parse_spec`` accepts.
+    """
     return _compile(ast)[0]
 
 

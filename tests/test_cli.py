@@ -50,6 +50,8 @@ FINITE_SPEC = str(DATA / "finite.spec")
 TRACE = str(DATA / "flip.trace")
 NEGATED_SPEC = str(DATA / "negated.spec")
 DROPOUT_TRACE = str(DATA / "dropout.trace")
+BAND_SPEC = str(DATA / "band.spec")
+BAND_TRACE = str(DATA / "band.trace")
 LOD = str(DATA / "lod_out.json")
 RURAL_LOD = str(DATA / "lod_rural.json")
 REAL_EQUALITY = "operational_speed == 50 kmh"
@@ -87,16 +89,29 @@ GOLDEN_CASES = [
     (["enumerate", "--taxonomy", FINITE], "enumerate_od.txt"),
     (["enumerate", "--taxonomy", FINITE, "--spec", FINITE_SPEC], "enumerate_odd.txt"),
     (["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", TRACE], "monitor.txt"),
+    # a speed on each literal of a band, one float step to either side of
+    # it, between and past them, and unmeasured
+    (
+        ["monitor", "--taxonomy", TAXONOMY, "--spec", BAND_SPEC, "--trace", BAND_TRACE],
+        "band_monitor.txt",
+    ),
 ]
+# the report document each monitor case writes with --report
+GOLDEN_REPORTS = {"monitor.txt": "report.json", "band_monitor.txt": "band_report.json"}
 
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("argv, golden", GOLDEN_CASES, ids=lambda v: v if isinstance(v, str) else v[0])
-    def test_stdout_is_byte_stable(self, argv, golden):
+    def test_stdout_is_byte_stable(self, tmp_path, argv, golden):
+        report = tmp_path / "report.json"
+        if golden in GOLDEN_REPORTS:
+            argv = [*argv, "--report", str(report)]
         result = run_cli(*argv)
         assert result.returncode == 0
         assert result.stdout == (GOLDEN / golden).read_text()
         assert result.stderr == ""
+        if golden in GOLDEN_REPORTS:
+            assert report.read_text() == (GOLDEN / GOLDEN_REPORTS[golden]).read_text()
 
     def test_report_document_is_byte_stable(self, tmp_path):
         report = tmp_path / "report.json"
@@ -409,13 +424,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
-        "argv, status",
-        [(argv, 0) for argv, _ in GOLDEN_CASES]
+        "argv, status, golden",
+        [(argv, 0, golden) for argv, golden in GOLDEN_CASES]
         + [(["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", TRACE,
-             "--fail-on-exit"], 3)],
+             "--fail-on-exit"], 3, "monitor.txt")],
         ids=[golden.removesuffix(".txt") for _, golden in GOLDEN_CASES] + ["monitor-fail-on-exit"],
     )
-    def test_a_closed_stdout_is_not_an_error(self, tmp_path, argv, status, unbuffered):
+    def test_a_closed_stdout_is_not_an_error(self, tmp_path, argv, status, golden, unbuffered):
         # the reader closes the pipe before the child writes its first byte
         report = tmp_path / "report.json"
         if argv[0] == "monitor":
@@ -435,7 +450,7 @@ class TestExitCodes:
         assert result.returncode == status
         assert result.stderr == b""
         if argv[0] == "monitor":
-            assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
+            assert report.read_bytes() == (GOLDEN / GOLDEN_REPORTS[golden]).read_bytes()
 
     def test_monitor_reads_the_trace_from_stdin(self, tmp_path):
         argv = [sys.executable, "-m", "oddspec", "monitor", "--taxonomy", TAXONOMY,

@@ -178,6 +178,23 @@ class TestMakeLod:
         lod = make_lod(finite_taxonomy, {"road_type": None})
         assert lod.values[0] is UNKNOWN
 
+    def test_a_held_lod_is_small(self):
+        # four slots and the object header: 64 bytes on CPython 3.10-3.13,
+        # where an instance dict of its own made it 168 or more
+        values, count = (True, UNKNOWN), 20_000
+        held = [None] * count
+        Lod(1.5, -2.0, 3.0, values)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(count):
+                held[index] = Lod(1.5, -2.0, 3.0, values)
+            size = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert size < 100
+        assert not hasattr(held[-1], "__dict__")
+
     def test_map_order_is_irrelevant(self, motorway_taxonomy):
         forward = {"road_type": "rural", "pedestrian_present": True, "operational_speed": 3.5}
         backward = dict(reversed(list(forward.items())))

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -13,6 +14,7 @@ from oddspec import (
     Attribute,
     BoolType,
     Diagnosis,
+    EnumType,
     IntType,
     EvaluationError,
     EventKind,
@@ -22,6 +24,8 @@ from oddspec import (
     MonitorState,
     Not,
     Predicate,
+    RealEqualityWarning,
+    RealType,
     Taxonomy,
     Trace,
     UNKNOWN,
@@ -50,7 +54,7 @@ from oracles import (
     space_of,
 )
 
-from oddspec.evaluator import _evaluate, _retest
+from oddspec.evaluator import _NO_HINT, _evaluate, _retest
 
 FLAG_TAXONOMY = Taxonomy((Attribute("flag", BoolType()),), version="flag1")
 FLAG_ATOM = Atom("flag", Predicate.EQ, True)
@@ -90,6 +94,7 @@ class TestInit:
         assert all(seconds == 0.0 for seconds in state.dwell.values())
         # the all-Unknown row, on which every atom has rank 1
         assert state.last_values == (UNKNOWN,) * len(FLAG_TAXONOMY)
+        assert state.hints == [_NO_HINT] * len(FLAG_TAXONOMY)
         assert state.node_ranks == [1] * len(spec.parents)
         assert state.violations == state.run_starts == [0] * len(spec.atoms)
         # a first sample with every attribute unmeasured repeats those ranks,
@@ -116,6 +121,7 @@ class TestInit:
             {"counts": {}},
             {"dwell": {}},
             {"node_ranks": []},
+            {"hints": []},
         ],
         ids=lambda derived: next(iter(derived)),
     )
@@ -525,7 +531,7 @@ def _snapshot(state):
     """Every field a step may write, copied."""
     return (
         state.last_verdict, state.last_t, dict(state.counts), dict(state.dwell),
-        state.last_values, list(state.node_ranks),
+        state.last_values, list(state.hints), list(state.node_ranks),
         list(state.falsified), list(state.unknown), list(state.violations),
         list(state.run_starts),
     )
@@ -708,20 +714,60 @@ def _fold(plan, ranks):
 def _assert_node_ranks(ast, spec, rows, orders):
     """Step the samples of ``rows``; after each, the first ``n`` node ranks
     are the referee's verdicts on the ``n`` atoms, every node's rank is a
-    fresh fold of its subtree, the root's is the referee's verdict, and an
-    evaluation of the sample alone gives the same row, atoms first again."""
+    fresh fold of its subtree, the root's is the referee's verdict, an
+    evaluation of the sample alone gives the same row, atoms first again,
+    and the hints are the ones ``_next_hints`` gives."""
     plans = _subtree_plans(spec)
     state = monitor_init(spec, spec.taxonomy)
     size = len(spec.atoms)
+    hints = list(state.hints)
     for i, row in enumerate(rows):
         sample = make_lod(spec.taxonomy, row, t=float(i))
+        hints = _next_hints(spec, state.last_values, sample.values, hints)
         monitor_step(state, sample)
         verdicts = [_RANK_OF[eval_kleene(atom, row, orders)] for atom in spec.atoms]
         assert state.node_ranks[:size] == verdicts
         assert state.node_ranks == [_fold(plan, state.node_ranks) for plan in plans]
         assert _VERDICT_NAMES[state.node_ranks[-1]] == eval_kleene(ast, row, orders)
         assert _evaluate(spec, sample.values) == state.node_ranks
+        _assert_hints(spec, sample.values, state.hints, hints)
     return state
+
+
+def _next_hints(spec, last_values, values, hints):
+    """The hints that a re-test of ``values`` after ``last_values`` leaves,
+    by the rule stated apart from ``_retest``: a measured number that
+    changes to another measured value gets the open interval between the
+    literals of its atoms next below and above that value (``-inf`` and
+    ``inf`` past the ends), or the empty interval at it when it is a
+    literal; one that changes to Unknown gets ``_NO_HINT``; one that
+    changes from Unknown, or does not change, keeps its hint."""
+    hints = list(hints)
+    for index, _, literals in spec.groups:
+        last, value = last_values[index], values[index]
+        if literals is None or value == last or last is UNKNOWN:
+            continue
+        if value is UNKNOWN:
+            hints[index] = _NO_HINT
+        elif value in literals:
+            hints[index] = (value, value)
+        else:
+            below = [literal for literal in literals if literal < value]
+            above = [literal for literal in literals if literal > value]
+            hints[index] = (max(below, default=-math.inf), min(above, default=math.inf))
+    return hints
+
+
+def _assert_hints(spec, values, hints, expected):
+    """The hints are ``expected``, each number's an open interval with no
+    literal of its atoms inside, ``_NO_HINT`` when its value is Unknown."""
+    assert hints == expected
+    for index, _, literals in spec.groups:
+        if literals is not None:
+            low, high = hints[index]
+            assert not any(low < literal < high for literal in literals)
+            if values[index] is UNKNOWN:
+                assert (low, high) == _NO_HINT
 
 
 _VERDICT_NAMES = ("false", "unknown", "true")
@@ -827,20 +873,205 @@ class TestAtomFlags:
         spaces = {a.name: list(space_of(a)) + [None] for a in taxonomy.attributes}
         for _ in range(6):
             spec = check_spec(random_spec(rng, base, 6), taxonomy)
-            size = len(spec.atoms)
-            last_values, last_row = (UNKNOWN,) * len(taxonomy), [1] * len(spec.parents)
-            for row in _changing_rows(rng, spaces, 80):
-                values = make_lod(taxonomy, row).values
-                full = _evaluate(spec, values)
-                kept = list(last_row)
-                moved = _retest(spec.groups, values, last_values, last_row)
-                atoms_moved = [atom for atom, _ in moved]
-                assert len(atoms_moved) == len(set(atoms_moved))
-                assert dict(moved) == {i: full[i] for i in range(size) if full[i] != kept[i]}
-                # the last row is read, never written
-                assert last_row == kept
-                last_values, last_row = values, full
+            _assert_retest_lists_the_moved_atoms(spec, _changing_rows(rng, spaces, 80))
 
+
+def _assert_retest_lists_the_moved_atoms(spec, rows):
+    """Re-test the samples of ``rows``, each against the last, with the
+    hints the re-tests leave: exactly the atoms whose rank a full
+    evaluation moves are listed, each once, the last row is never written,
+    and the hints are the ones ``_next_hints`` gives."""
+    taxonomy = spec.taxonomy
+    size = len(spec.atoms)
+    last_values, last_row = (UNKNOWN,) * len(taxonomy), [1] * len(spec.parents)
+    hints = [_NO_HINT] * len(taxonomy)
+    for row in rows:
+        values = make_lod(taxonomy, row).values
+        full = _evaluate(spec, values)
+        kept = list(last_row)
+        expected = _next_hints(spec, last_values, values, hints)
+        moved = _retest(spec.groups, values, last_values, last_row, hints)
+        atoms_moved = [atom for atom, _ in moved]
+        assert len(atoms_moved) == len(set(atoms_moved))
+        assert dict(moved) == {i: full[i] for i in range(size) if full[i] != kept[i]}
+        # the last row is read, never written
+        assert last_row == kept
+        _assert_hints(spec, values, hints, expected)
+        last_values, last_row = values, full
+
+
+
+# a bounded real and a bounded int, each with several literals to choose from
+NUMBER_TAXONOMY = Taxonomy(
+    (
+        Attribute("speed", RealType(unit="kmh", minimum=-50.0, maximum=150.0)),
+        Attribute("wet", BoolType()),
+        Attribute("lanes", IntType(minimum=0, maximum=8)),
+    ),
+    version="numbers1",
+)
+_NUMBER_LITERALS = {"speed": [-12.5, 0, 0.1, 30, 60.25, 99.5, 100], "lanes": [1, 2, 4, 6]}
+_NUMBER_BOUNDS = {"speed": (-50.0, 150.0), "lanes": (0, 8)}
+
+
+def _random_number_spec(rng, depth):
+    """Random AST over NUMBER_TAXONOMY whose atoms are mostly on the numbers,
+    with every predicate."""
+    if depth <= 0 or rng.random() < 0.3:
+        name = rng.choice(("speed", "speed", "lanes", "wet"))
+        if name == "wet":
+            return Atom("wet", Predicate.EQ, rng.random() < 0.5)
+        return Atom(name, rng.choice(list(Predicate)), rng.choice(_NUMBER_LITERALS[name]))
+    if rng.random() < 0.3:
+        return Not(_random_number_spec(rng, depth - 1))
+    return And(_random_number_spec(rng, depth - 1), _random_number_spec(rng, depth - 1))
+
+
+def _check_number_spec(ast):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RealEqualityWarning)
+        return check_spec(ast, NUMBER_TAXONOMY)
+
+
+def _number_move(rng, name, value, literals):
+    """A new value of the number ``name`` whose last value is ``value``:
+    on a literal, one step (the next float, or 1) to either side of one,
+    anywhere between two, past the outermost, a small move from ``value``,
+    or unmeasured (None)."""
+    low, high = _NUMBER_BOUNDS[name]
+    real = name == "speed"
+    move = rng.choice(("on", "beside", "between", "past", "nudge", "nudge", "drop"))
+    if move == "on":
+        return rng.choice(literals)
+    if move == "beside":
+        literal = rng.choice(literals)
+        if real:
+            return math.nextafter(literal, rng.choice((-math.inf, math.inf)))
+        return literal + rng.choice((-1, 1))
+    if move == "between" and len(literals) > 1:
+        cut = rng.randrange(len(literals) - 1)
+        start, end = literals[cut], literals[cut + 1]
+    elif move == "past":
+        start, end = rng.choice(((low, literals[0]), (literals[-1], high)))
+    elif move == "nudge" and value is not None:
+        step = rng.choice((0.001, 0.5)) if real else 1
+        start, end = max(low, value - step), min(high, value + step)
+    else:
+        return None
+    return rng.uniform(start, end) if real else rng.randint(start, end)
+
+
+def _literal_walk(rng, spec, steps):
+    """Value maps over NUMBER_TAXONOMY in which, at each step, each number
+    makes a ``_number_move`` among the literals of the spec's atoms on it
+    (or of ``_NUMBER_LITERALS`` when it has none) with probability 0.7,
+    and ``wet`` changes with probability 0.2."""
+    literals = {
+        name: sorted({a.literal for a in spec.atoms if a.attribute_name == name} or pool)
+        for name, pool in _NUMBER_LITERALS.items()
+    }
+    row = {"speed": None, "wet": None, "lanes": None}
+    rows = []
+    for _ in range(steps):
+        row = dict(row)
+        for name in literals:
+            if rng.random() < 0.7:
+                row[name] = _number_move(rng, name, row[name], literals[name])
+        if rng.random() < 0.2:
+            row["wet"] = rng.choice((True, False, None))
+        rows.append(row)
+    return rows
+
+
+def _moves_inside_a_cell(spec, rows):
+    """How many times a number of ``rows`` changes from one measured value
+    to another with no literal of its atoms between them or on either."""
+    count = 0
+    for name in ("speed", "lanes"):
+        literals = {a.literal for a in spec.atoms if a.attribute_name == name}
+        for last, row in zip(rows, rows[1:]):
+            old, new = last[name], row[name]
+            if None not in (old, new) and old != new:
+                low, high = min(old, new), max(old, new)
+                count += not any(low <= literal <= high for literal in literals)
+    return count
+
+
+class TestLiteralCells:
+    """A number that moves inside the open interval between two consecutive
+    literals of its atoms moves none of them, so its atoms are not tested
+    again. Every answer must still be the referee's."""
+
+    def test_fold_and_retest_agree_with_the_referee(self):
+        rng = random.Random("cells")
+        inside, literal_counts = 0, []
+        for _ in range(12):
+            ast = _random_number_spec(rng, 5)
+            spec = _check_number_spec(ast)
+            rows = _literal_walk(rng, spec, 150)
+            _assert_node_ranks(ast, spec, rows, {})
+            _assert_fold_agrees(ast, spec, rows, {})
+            _assert_retest_lists_the_moved_atoms(spec, rows)
+            inside += _moves_inside_a_cell(spec, rows)
+            literal_counts += [len(literals or ()) for _, _, literals in spec.groups]
+        # the walks reach the skipped groups, over several literals
+        assert inside > 100
+        assert max(literal_counts) >= 4
+
+    def test_a_group_is_skipped_only_inside_its_hint(self):
+        spec = check_spec(parse_spec("speed > 30 and not speed >= 60.25"), NUMBER_TAXONOMY)
+        groups = [group for group in spec.groups if group[0] == 0]
+        atoms = list(range(len(spec.atoms)))
+        # (last speed, its hint, new speed, whether the group is skipped, the new hint)
+        cases = [
+            (45.0, (30, 60.25), 50.0, True, (30, 60.25)),
+            (-40.0, (-math.inf, 30), 29.5, True, (-math.inf, 30)),
+            (99.0, (60.25, math.inf), 150.0, True, (60.25, math.inf)),
+            (45.0, (30, 60.25), 30.0, False, (30.0, 30.0)),
+            (45.0, (30, 60.25), 60.25, False, (60.25, 60.25)),
+            (30.0, (30.0, 30.0), math.nextafter(30.0, math.inf), False, (30, 60.25)),
+            (60.25, (60.25, 60.25), math.nextafter(60.25, 0), False, (30, 60.25)),
+            (45.0, (30, 60.25), 99.0, False, (60.25, math.inf)),
+            (45.0, (30, 60.25), None, False, _NO_HINT),
+            # a value that followed an Unknown one has no hint yet
+            (45.0, _NO_HINT, 50.0, False, (30, 60.25)),
+            # a change from Unknown reads and writes no hint, so one left by
+            # an earlier value, as in the prefix walk, skips nothing
+            (None, _NO_HINT, 50.0, False, _NO_HINT),
+            (None, (30, 60.25), 50.0, False, (30, 60.25)),
+        ]
+        for last, hint, new, skipped, after in cases:
+            values = make_lod(NUMBER_TAXONOMY, {"speed": new}).values
+            last_values = make_lod(NUMBER_TAXONOMY, {"speed": last}).values
+            hints = [hint, _NO_HINT, _NO_HINT]
+            # a rank no test gives, so that every atom tested again is listed
+            row = [-1] * len(spec.parents)
+            moved = _retest(groups, values, last_values, row, hints)
+            assert [atom for atom, _ in moved] == ([] if skipped else atoms), (last, new)
+            assert hints == [after, _NO_HINT, _NO_HINT], (last, new)
+            assert row == [-1] * len(spec.parents)
+
+    def test_a_refused_sample_changes_no_hint(self):
+        taxonomy = Taxonomy(
+            (
+                Attribute("speed", RealType(unit="kmh", minimum=0.0)),
+                Attribute("level", EnumType(("l1", "l2", "l3"), ordered=True)),
+            ),
+            version="refused1",
+        )
+        spec = check_spec(parse_spec("speed < 60 kmh and level >= l2"), taxonomy)
+        rows = [{"speed": 50.0, "level": "l3"}, {"speed": 55.0, "level": "l3"}]
+        state, _, _ = fold(spec, [make_lod(taxonomy, r, t=float(i)) for i, r in enumerate(rows)])
+        assert state.hints[0] == (-math.inf, 60)
+        snapshot = _snapshot(state)
+        # speed crosses 60, whose group comes first, and then the level's
+        # test raises on a value no taxonomy holds
+        with pytest.raises(TypeError):
+            monitor_step(state, Lod(2.0, 0.0, 0.0, (70.0, ["l3"])))
+        assert _snapshot(state) == snapshot
+        _, verdict, _ = monitor_step(state, make_lod(taxonomy, {"speed": 70.0, "level": "l3"}, t=3.0))
+        assert verdict is Verdict.FALSE
+        assert state.hints[0] == (60, math.inf)
 
 
 _DIAGNOSIS = Diagnosis(Verdict.FALSE, (FLAG_ATOM,), ())

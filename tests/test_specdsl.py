@@ -19,6 +19,7 @@ from oddspec import (
     Predicate,
     PredicateNotApplicableError,
     RealEqualityWarning,
+    RealType,
     SpecCheckError,
     SpecParseError,
     Taxonomy,
@@ -190,6 +191,35 @@ class TestParse:
             if column is not None:
                 assert caught.value.column == column
 
+    def test_a_library_tree_deeper_than_the_parser_accepts_is_refused(self):
+        taxonomy = Taxonomy((Attribute("a", BoolType()),), version="deep1")
+        a = Atom("a", Predicate.EQ, True)
+
+        def conjunction(levels):
+            node = a
+            for _ in range(levels - 1):
+                node = And(node, a)
+            return node
+
+        def negation(levels):
+            node = a
+            for _ in range(levels - 1):
+                node = Not(node)
+            return node
+
+        lod = make_lod(taxonomy, {"a": True})
+        for ast, verdict in ((conjunction(256), "true"), (negation(256), "false")):
+            assert diagnose(check_spec(ast, taxonomy), lod).verdict.value == verdict
+        spec = check_spec(a, taxonomy)
+        # the nots fold away in pairs, yet the tree is too deep to hold
+        for ast in (conjunction(257), conjunction(1201), negation(257), negation(3000)):
+            with pytest.raises(SpecCheckError, match="nests too deeply: more than 256 levels"):
+                check_spec(ast, taxonomy)
+            with pytest.raises(SpecCheckError, match="nests too deeply"):
+                dataclasses.replace(spec, ast=ast)
+            with pytest.raises(SpecCheckError, match="nests too deeply"):
+                atoms(ast)
+
     def test_mixing_allowed_with_parentheses(self):
         ast = parse_spec("(a == x and b == y) or c == z")
         assert isinstance(ast, Not)
@@ -334,17 +364,49 @@ class TestPlan:
         rng = random.Random("groups " + taxonomy.version)
         for _ in range(10):
             spec = check_spec(random_spec(rng, taxonomy, 6), taxonomy)
-            indices = [index for index, _ in spec.groups]
+            indices = [index for index, _, _ in spec.groups]
             assert indices == sorted(set(indices))
             members = sorted(
                 (atom_index, (index, test, literal))
-                for index, group in spec.groups
+                for index, group, _ in spec.groups
                 for atom_index, test, literal in group
             )
             assert [atom_index for atom_index, _ in members] == list(range(len(spec.atoms)))
             assert [probe for _, probe in members] == [
                 _check_atom(atom, taxonomy) for atom in spec.atoms
             ]
+            for index, _, literals in spec.groups:
+                assert literals == _number_literals(spec, index)
+
+    def test_a_number_lists_its_sorted_distinct_literals(self):
+        taxonomy = Taxonomy(
+            (
+                Attribute("speed", RealType(unit="kmh", minimum=0.0)),
+                Attribute("road", EnumType(("a", "b"), ordered=True)),
+                Attribute("lanes", IntType(minimum=0, maximum=9)),
+                Attribute("wet", BoolType()),
+            ),
+            version="numbers1",
+        )
+        text = (
+            "speed < 60.5 and lanes >= 2 and road <= a and not (speed > 30 or lanes < 2)"
+            " and speed <= 60.5 and wet == true and speed >= 0.25 and lanes > 7"
+        )
+        spec = check_spec(parse_spec(text), taxonomy)
+        assert [(index, literals) for index, _, literals in spec.groups] == [
+            (0, (0.25, 30, 60.5)), (1, None), (2, (2, 7)), (3, None),
+        ]
+        for index, _, literals in spec.groups:
+            assert literals == _number_literals(spec, index)
+
+
+def _number_literals(spec, index):
+    """The sorted distinct literals of the atoms on an int or real
+    attribute, read from the atoms; None for an enum or bool one."""
+    attribute = spec.taxonomy.attributes[index]
+    if not isinstance(attribute.attr_type, (IntType, RealType)):
+        return None
+    return tuple(sorted({a.literal for a in spec.atoms if a.attribute_name == attribute.name}))
 
 
 _COMPILED = ("atoms", "blame", "groups", "parents", "children")
