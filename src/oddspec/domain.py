@@ -144,7 +144,13 @@ def make_lod(
 
     Attributes absent from the map (or mapped to ``UNKNOWN``/``None``)
     become Unknown. Integers are widened to floats for real attributes.
-    The result does not depend on the map's iteration order.
+    The result does not depend on the map's iteration order; a refusal
+    names the first bad entry in it.
+
+    A value of exactly its attribute's type (``str``, ``bool``, ``int`` or
+    ``float``) that lies in the labels or bounds its type folded is stored
+    as it is, with no call. Every other value goes through the type's
+    ``_accept``, the general rule.
 
     Raises:
         LodError: unknown attribute name, out-of-domain value, or a time or
@@ -154,9 +160,12 @@ def make_lod(
     values: list[AttributeValue] = [UNKNOWN] * len(decoder)
     for name, value in assignments.items():
         try:
-            position, accept = decoder[name]
+            position, exact, labels, low, high, accept = decoder[name]
         except KeyError:
             raise LodError(f"unknown attribute {name!r}") from None
+        if type(value) is exact and (low <= value <= high if labels is None else value in labels):
+            values[position] = value
+            continue
         if value is UNKNOWN or value is None:
             continue
         stored = accept(value)

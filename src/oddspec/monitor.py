@@ -276,7 +276,21 @@ def report_from_state(
 
 def render_report(report: MonitorReport) -> dict:
     """JSON-ready dict in the documented report shape; atoms are rendered
-    as their canonical specification text."""
+    as their canonical specification text, each atom once per call."""
+    # Keyed by id: equal atoms can write different text (a literal 45 and
+    # 45.0), and the report keeps every atom alive, so no id is reused.
+    texts: dict[int, str] = {}
+
+    def render(atoms) -> list[str]:
+        rendered = []
+        for atom in atoms:
+            text = texts.get(id(atom))
+            if text is None:
+                text = texts[id(atom)] = serialize_spec(atom)
+            rendered.append(text)
+        return rendered
+
+    violations = report.atom_violations
     return {
         "samples": {
             "total": report.samples_total,
@@ -294,15 +308,12 @@ def render_report(report: MonitorReport) -> dict:
                 "kind": event.kind.value,
                 "t": event.t,
                 "index": event.sample_index,
-                "falsified": [serialize_spec(a) for a in event.diagnosis.falsified_atoms],
-                "unknown": [serialize_spec(a) for a in event.diagnosis.unknown_atoms],
+                "falsified": render(event.diagnosis.falsified_atoms),
+                "unknown": render(event.diagnosis.unknown_atoms),
             }
             for event in report.events
         ],
-        "atom_violations": {
-            serialize_spec(atom): count
-            for atom, count in report.atom_violations.items()
-        },
+        "atom_violations": dict(zip(render(violations), violations.values())),
     }
 
 

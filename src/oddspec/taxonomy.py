@@ -52,6 +52,12 @@ def _check_identifier(text: str, what: str) -> None:
 # What a type's ``_accept`` returns for a value outside the type.
 _REJECT = object()
 
+# Each data type also folds, when it is built, a ``_row``: (exact type,
+# labels, low, high). A value of exactly that type that is one of the labels
+# (an enum's; None for the other types) or lies in low..high is in the
+# domain, and ``_accept`` would return it as it is. ``make_lod`` tests this
+# inline and calls ``_accept`` only for any other value.
+
 # A number is a finite real when abs(number) <= _FLOAT_MAX. Unlike
 # math.isfinite, the comparison does not raise on an int past the float range.
 _FLOAT_MAX = sys.float_info.max
@@ -90,22 +96,21 @@ class EnumType:
             _check_identifier(label, "enum label")
         if len(set(self.labels)) != len(self.labels):
             raise TaxonomyError("enum labels must be pairwise distinct")
-        # what _accept looks an exact str up in; a plain attribute, not a
-        # field, so it is no part of the type's value
-        object.__setattr__(self, "_label_set", frozenset(self.labels))
+        # a plain attribute, not a field, so it is no part of the type's value
+        object.__setattr__(self, "_row", (str, frozenset(self.labels), None, None))
 
     def _accept(self, value):
-        """A ``str`` that is one of the labels, unchanged. An exact ``str``
-        is looked up in the label set; any other value, a ``str`` subclass
-        included, is compared with each label."""
-        if type(value) is str:
-            return value if value in self._label_set else _REJECT
+        """A ``str`` that is one of the labels, unchanged. A ``str`` subclass
+        is compared with each label, so it need not be hashable."""
         return value if isinstance(value, str) and value in self.labels else _REJECT
 
 
 @dataclass(frozen=True)
 class BoolType:
     """Two-valued attribute."""
+
+    # not a field: every bool lies between False and True
+    _row = (bool, None, False, True)
 
     def _accept(self, value):
         return value if value is True or value is False else _REJECT
@@ -127,12 +132,10 @@ class RealType:
         _check_bounds(self, integral=False)
 
     def _accept(self, value):
-        """A finite number (not a ``bool``) within the bounds, as a ``float``.
-        An exact ``float`` is tested first and comes back as it is."""
+        """A finite number (not a ``bool``) within the bounds, as a ``float``;
+        an exact ``float`` comes back as it is."""
         # the folded bounds are finite floats, so NaN, an infinity and an int
         # past the largest float all fail this one comparison
-        if type(value) is float:
-            return value if self._low <= value <= self._high else _REJECT
         if isinstance(value, (float, int)) and not isinstance(value, bool):
             if self._low <= value <= self._high:
                 return float(value)
@@ -153,9 +156,8 @@ class IntType:
         _check_bounds(self, integral=True)
 
     def _accept(self, value):
-        """An ``int`` (not a ``bool``) within the bounds, unchanged. An exact
-        ``int`` is recognised by one test, before the subclass tests."""
-        if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
+        """An ``int`` (not a ``bool``) within the bounds, unchanged."""
+        if isinstance(value, int) and not isinstance(value, bool):
             if self._low <= value <= self._high:
                 return value
         return _REJECT
@@ -164,8 +166,9 @@ class IntType:
 def _check_bounds(kind: RealType | IntType, integral: bool) -> None:
     """Check each bound of ``kind`` and their order; store a real type's
     bounds as floats. Fold them into ``_low`` and ``_high``, the bounds that
-    ``_accept`` tests an exact value against; a missing bound becomes the
-    largest float for a real and infinity for an int, signed for its side."""
+    ``_accept`` tests a number against, and into ``_row``; a missing bound
+    becomes the largest float for a real and infinity for an int, signed for
+    its side."""
     for field_name in ("minimum", "maximum"):
         bound = getattr(kind, field_name)
         if bound is None:
@@ -188,8 +191,11 @@ def _check_bounds(kind: RealType | IntType, integral: bool) -> None:
         raise TaxonomyError(f"lower bound {_shown(low)} exceeds upper bound {_shown(high)}")
     # plain attributes, not fields, so they are no part of the type's value
     unbounded = math.inf if integral else _FLOAT_MAX
-    object.__setattr__(kind, "_low", -unbounded if low is None else low)
-    object.__setattr__(kind, "_high", unbounded if high is None else high)
+    low = -unbounded if low is None else low
+    high = unbounded if high is None else high
+    object.__setattr__(kind, "_low", low)
+    object.__setattr__(kind, "_high", high)
+    object.__setattr__(kind, "_row", (int if integral else float, None, low, high))
 
 
 AttributeType = EnumType | BoolType | RealType | IntType
@@ -230,7 +236,8 @@ class Taxonomy:
 
     attributes: tuple[Attribute, ...]
     version: str = "1"
-    # name -> (position, the data type's _accept), for name lookup and decoding
+    # name -> (position, exact type, labels, low, high, the data type's
+    # _accept), for name lookup and decoding; see make_lod
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,7 +252,8 @@ class Taxonomy:
                 raise TaxonomyError(f"{_shown(attribute)} is not an Attribute")
             if attribute.name in index:
                 raise TaxonomyError(f"duplicate attribute name {attribute.name!r}")
-            index[attribute.name] = (position, attribute.attr_type._accept)
+            kind = attribute.attr_type
+            index[attribute.name] = (position, *kind._row, kind._accept)
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:

@@ -52,6 +52,7 @@ NEGATED_SPEC = str(DATA / "negated.spec")
 DROPOUT_TRACE = str(DATA / "dropout.trace")
 BAND_SPEC = str(DATA / "band.spec")
 BAND_TRACE = str(DATA / "band.trace")
+INT_SPEED_TRACE = str(DATA / "int_speed.trace")
 LOD = str(DATA / "lod_out.json")
 RURAL_LOD = str(DATA / "lod_rural.json")
 REAL_EQUALITY = "operational_speed == 50 kmh"
@@ -95,9 +96,19 @@ GOLDEN_CASES = [
         ["monitor", "--taxonomy", TAXONOMY, "--spec", BAND_SPEC, "--trace", BAND_TRACE],
         "band_monitor.txt",
     ),
+    # a speed given as a JSON int, as a float, as null and absent: an int is
+    # no float, so it takes the real type's general rule
+    (
+        ["monitor", "--taxonomy", TAXONOMY, "--spec", BAND_SPEC, "--trace", INT_SPEED_TRACE],
+        "int_speed_monitor.txt",
+    ),
 ]
 # the report document each monitor case writes with --report
-GOLDEN_REPORTS = {"monitor.txt": "report.json", "band_monitor.txt": "band_report.json"}
+GOLDEN_REPORTS = {
+    "monitor.txt": "report.json",
+    "band_monitor.txt": "band_report.json",
+    "int_speed_monitor.txt": "int_speed_report.json",
+}
 
 
 class TestGoldenOutputs:

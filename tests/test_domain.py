@@ -781,7 +781,13 @@ def _check_membership(taxonomy, attribute, value):
             make_lod(taxonomy, {name: value})
         assert str(raised.value) == f"value {value!r} is outside the domain of attribute {name!r}"
         return
-    stored = make_lod(taxonomy, {name: value}).values[position]
+    _assert_stored(attribute, make_lod(taxonomy, {name: value}).values[position], value)
+
+
+def _assert_stored(attribute, stored, value):
+    """``stored`` is how ``make_lod`` must keep ``value``, a value in the
+    attribute's domain: a real as a float of the same sign, an int as an
+    exact int, any other value as itself."""
     kind = attribute.attr_type
     if isinstance(kind, RealType):
         assert type(stored) is float
@@ -841,3 +847,121 @@ class TestMembershipAgainstOracle:
         with pytest.raises(LodError) as raised:
             make_lod(finite_taxonomy, {"road_type": "rural", "weather": None})
         assert str(raised.value) == "unknown attribute 'weather'"
+
+
+# ---------------------------------------------------------------------------
+# make_lod's inline test against each type's general rule
+# ---------------------------------------------------------------------------
+
+_EXACT_TYPE = {EnumType: str, BoolType: bool, IntType: int, RealType: float}
+_UNDECLARED_NAMES = ["weather", "Speed", "speed_", ""]
+
+
+def _general_values(attribute) -> list:
+    return _ADVERSARIAL + _near_bounds(attribute)
+
+
+def _inline_values(attribute) -> list:
+    """The values of exactly the attribute's type that lie in its domain,
+    which make_lod stores without calling the type's _accept."""
+    exact = _EXACT_TYPE[type(attribute.attr_type)]
+    return [
+        value for value in _general_values(attribute)
+        if type(value) is exact and in_domain(attribute, value)
+    ]
+
+
+def _passes_row(kind, value) -> bool:
+    """make_lod's inline test, on the row that ``kind`` folded."""
+    exact, labels, low, high = kind._row
+    return type(value) is exact and (low <= value <= high if labels is None else value in labels)
+
+
+def _assert_rows_agree_with_the_rule(taxonomy):
+    for position, attribute in enumerate(taxonomy.attributes):
+        kind = attribute.attr_type
+        assert taxonomy._index[attribute.name] == (position, *kind._row, kind._accept)
+        assert all(_passes_row(kind, value) for value in _inline_values(attribute))
+        for value in _general_values(attribute):
+            if _passes_row(kind, value):
+                assert kind._accept(value) is value
+            if not value_in_domain(attribute, value):
+                assert not _passes_row(kind, value)
+
+
+@st.composite
+def _maps(draw):
+    """A taxonomy and a name-to-value map over it: its first declared entry
+    takes a value that the inline test stores, its second (if any) one from
+    the adversarial values, which mostly go through _accept, and the rest
+    either; an undeclared name may sit anywhere."""
+    taxonomy = draw(st.sampled_from([*SPEC_FAMILY, _NUMERIC_TAXONOMY]))
+    names = draw(st.lists(st.sampled_from(taxonomy.names()), min_size=1, unique=True))
+    entries = []
+    for rank, name in enumerate(names):
+        attribute = taxonomy.attribute(name)
+        pools = [_inline_values(attribute), _general_values(attribute)]
+        if rank < 2:
+            pools = pools[rank:rank + 1]
+        entries.append((name, draw(st.sampled_from(draw(st.sampled_from(pools))))))
+    if draw(st.booleans()):
+        entries.append((draw(st.sampled_from(_UNDECLARED_NAMES)), 1))
+    return taxonomy, dict(draw(st.permutations(entries)))
+
+
+class TestInlineDecoding:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_maps())
+    def test_a_map_decodes_as_its_entries_do_in_order(self, case):
+        taxonomy, assignments = case
+        declared = set(taxonomy.names())
+        expected = [None] * len(taxonomy)
+        refusal = None
+        for name, value in assignments.items():
+            if name not in declared:
+                refusal = f"unknown attribute {name!r}"
+                break
+            attribute = taxonomy.attribute(name)
+            if value is None or value is UNKNOWN:
+                continue
+            if not in_domain(attribute, value):
+                refusal = f"value {value!r} is outside the domain of attribute {name!r}"
+                break
+            expected[taxonomy.index_of(name)] = (attribute, value)
+        if refusal is not None:
+            with pytest.raises(LodError) as raised:
+                make_lod(taxonomy, assignments)
+            assert str(raised.value) == refusal
+            return
+        for entry, stored in zip(expected, make_lod(taxonomy, assignments).values):
+            if entry is None:
+                assert stored is UNKNOWN
+            else:
+                attribute, value = entry
+                _assert_stored(attribute, stored, value)
+
+    def test_every_row_agrees_with_its_rule(self, motorway_taxonomy, finite_taxonomy):
+        for taxonomy in [*TAXONOMY_FAMILY, _NUMERIC_TAXONOMY, motorway_taxonomy, finite_taxonomy]:
+            _assert_rows_agree_with_the_rule(taxonomy)
+
+    def test_a_replaced_type_folds_a_new_row(self):
+        speed = RealType("kmh", minimum=0.0, maximum=130.0)
+        roads = EnumType(("motorway", "rural"))
+        lanes = IntType(minimum=1, maximum=4)
+        slower = dataclasses.replace(speed, maximum=50)
+        fewer = dataclasses.replace(roads, labels=["rural"])
+        wider = dataclasses.replace(lanes, minimum=None)
+        assert slower._row == (float, None, 0.0, 50.0)
+        assert fewer._row == (str, frozenset({"rural"}), None, None)
+        assert wider._row == (int, None, -math.inf, 4)
+        assert _passes_row(speed, 60.0) and not _passes_row(slower, 60.0)
+        assert _passes_row(roads, "motorway") and not _passes_row(fewer, "motorway")
+        assert _passes_row(wider, -7) and not _passes_row(lanes, -7)
+        taxonomy = Taxonomy(
+            (Attribute("speed", slower), Attribute("road", fewer), Attribute("lanes", wider))
+        )
+        _assert_rows_agree_with_the_rule(taxonomy)
+        assert make_lod(taxonomy, {"lanes": -7, "road": "rural"}).values == (UNKNOWN, "rural", -7)
+        for name, value in [("speed", 60.0), ("road", "motorway")]:
+            with pytest.raises(LodError, match="outside the domain"):
+                make_lod(taxonomy, {name: value})

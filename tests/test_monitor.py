@@ -42,6 +42,7 @@ from oddspec import (
     report_from_state,
     report_json,
     run_monitor,
+    serialize_spec,
 )
 from oracles import (
     BOTH_POLARITY_SPECS,
@@ -402,6 +403,57 @@ class TestReportRendering:
             "falsified": ["flag == true"],
             "unknown": [],
         }
+
+    def test_each_atom_is_written_once_per_report(self, monkeypatch):
+        taxonomy = Taxonomy(
+            (Attribute("flag", BoolType()), Attribute("level", IntType(minimum=0, maximum=9))),
+            version="flag-level",
+        )
+        spec = check_spec(
+            parse_spec("(flag == true and level < 5) or (level > 7 and not flag == false)"),
+            taxonomy,
+        )
+        # verdicts true, false, unknown in turn: every sample is an event
+        rows = [{"flag": True, "level": 2}, {"flag": False, "level": 2}, {"level": 2}] * 20
+        samples = [make_lod(taxonomy, row, t=float(i)) for i, row in enumerate(rows)]
+        report = run_monitor(spec, taxonomy, Trace(taxonomy, tuple(samples)))
+        assert len(report.events) > len(rows)
+        written = []
+
+        def counting(ast):
+            written.append(ast)
+            return serialize_spec(ast)
+
+        monkeypatch.setattr("oddspec.monitor.serialize_spec", counting)
+        document = render_report(report)
+        assert len(written) == len({id(atom) for atom in written}) <= len(spec.atoms)
+        assert document["events"] == [
+            {
+                "kind": event.kind.value,
+                "t": event.t,
+                "index": event.sample_index,
+                "falsified": [serialize_spec(a) for a in event.diagnosis.falsified_atoms],
+                "unknown": [serialize_spec(a) for a in event.diagnosis.unknown_atoms],
+            }
+            for event in report.events
+        ]
+        assert document["atom_violations"] == {
+            serialize_spec(atom): count for atom, count in report.atom_violations.items()
+        }
+
+    def test_equal_atoms_keep_their_own_text(self):
+        # 45 == 45.0, so the two atoms are equal, but they write differently
+        whole = Atom("speed", Predicate.LT, 45, "kmh")
+        point = Atom("speed", Predicate.LT, 45.0, "kmh")
+        assert whole == point
+        diagnosis = Diagnosis(Verdict.FALSE, (whole, point), ())
+        report = dataclasses.replace(
+            run_letters("T"),
+            events=(MonitorEvent(EventKind.EXIT, 0.0, 0, diagnosis),),
+            atom_violations={},
+        )
+        falsified = render_report(report)["events"][0]["falsified"]
+        assert falsified == ["speed < 45 kmh", "speed < 45.0 kmh"]
 
     def test_json_round_trips_through_loads(self):
         text = report_json(run_letters("TUF"))
