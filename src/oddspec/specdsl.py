@@ -25,7 +25,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .errors import (
     PredicateNotApplicableError,
@@ -184,15 +184,16 @@ def _group(taxonomy: Taxonomy, index: int, members: list) -> Group:
 # --------------------------------------------------------------------------
 
 _KEYWORDS = {word: word.upper() for word in RESERVED_WORDS}
+_PREDICATES = {predicate.value: predicate for predicate in Predicate}
 
-# One alternative per token kind, tried left to right. POINT, EQUALS, MINUS
-# and CHAR match malformed input so that it gets a specific message.
+# A prefix that skips whitespace and comments, then one group per token
+# kind, tried left to right. POINT, EQUALS, MINUS and CHAR match malformed
+# input so that it gets a specific message. EOF matches where the input
+# ends, so that the prefix never gives back a space or a comment to CHAR.
 _TOKEN_RE = re.compile(
-    r"(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<NEWLINE>\n)"
-    r"|(?P<POINT>-?[0-9]+\.(?![0-9]))|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)"
-    r"|(?P<IDENT>[a-z][a-z0-9_]*)|(?P<OP>==|<=|>=|<|>)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))"
-    r"|(?P<EQUALS>=)|(?P<MINUS>-)|(?P<CHAR>.)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:(?P<IDENT>[a-z][a-z0-9_]*)|(?P<OP>==|<=|>=|<|>)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<POINT>-?[0-9]+\.(?![0-9]))"
+    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)|(?P<EOF>\Z)|(?P<EQUALS>=)|(?P<MINUS>-)|(?P<CHAR>.))"
 )
 
 _LEX_ERRORS = {
@@ -203,46 +204,42 @@ _LEX_ERRORS = {
 }
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT NUMBER OP LPAREN RPAREN AND OR NOT TRUE FALSE EOF
-    text: str
-    value: object
-    line: int
-    column: int
+def _error(message: str, text: str, offset: int) -> SpecParseError:
+    """A refusal at ``offset``, named by its 1-based line and column."""
+    column = offset - text.rfind("\n", 0, offset)
+    return SpecParseError(message, text.count("\n", 0, offset) + 1, column)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
+def _lex(text: str) -> tuple[list[str], list, list[int]]:
+    """The tokens of ``text`` as three parallel lists: kinds (IDENT NUMBER
+    OP LPAREN RPAREN AND OR NOT TRUE FALSE EOF), values and start offsets.
+    The last token is EOF, where the text ends."""
+    kinds, values, starts = [], [], []
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "SKIP":
-            continue
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-            continue
-        raw = match.group()
-        column = match.start() - line_start + 1
-        value: object = raw
+        group = match.lastindex
+        kind, value, start = match.lastgroup, match[group], match.start(group)
         if kind == "IDENT":
-            kind = _KEYWORDS.get(raw, "IDENT")
+            kind = _KEYWORDS.get(value, kind)
         elif kind == "OP":
-            value = Predicate(raw)
+            value = _PREDICATES[value]
         elif kind == "NUMBER":
             try:
-                value = float(raw) if "." in raw else int(raw)
+                value = float(value) if "." in value else int(value)
             except ValueError:  # more digits than int() converts
                 value = math.inf
             if abs(value) == math.inf:
-                raise SpecParseError("number literal out of range", line, column)
+                raise _error("number literal out of range", text, start)
+        elif kind == "EOF":  # always met, and an empty match may follow it
+            break
         elif kind in _LEX_ERRORS:
-            raise SpecParseError(_LEX_ERRORS[kind].format(raw), line, column)
-        else:
-            value = None
-        tokens.append(_Token(kind, raw, value, line, column))
-    tokens.append(_Token("EOF", "", None, line, len(text) - line_start + 1))
-    return tokens
+            raise _error(_LEX_ERRORS[kind].format(value), text, start)
+        kinds.append(kind)
+        values.append(value)
+        starts.append(start)
+    kinds.append("EOF")
+    values.append(None)
+    starts.append(len(text))
+    return kinds, values, starts
 
 
 # --------------------------------------------------------------------------
@@ -251,101 +248,93 @@ def _lex(text: str) -> list[_Token]:
 
 
 # Deepest tree parse_spec accepts. An atom is one level, each Not and And
-# one more. The AST utilities, the serializer and the dataclass ==, hash and
-# repr all recurse on the tree, and at some 330 levels they overflow the
+# one more. The AST utilities and the dataclass ==, hash and repr all
+# recurse on the tree, and at some 330 levels they overflow the
 # interpreter's stack.
 _MAX_DEPTH = 256
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over ``_lex``'s lists; ``pos`` indexes the current
+    token. ``expr`` and ``term`` return a subtree together with its depth."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.values, self.starts = _lex(text)
         self.pos = 0
         self.nesting = 0  # 'not's and '('s enclosing the current token
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int | None = None) -> SpecParseError:
+        return _error(message, self.text, self.starts[self.pos if index is None else index])
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def error(self, message: str, token: _Token | None = None) -> SpecParseError:
-        token = token or self.current
-        return SpecParseError(message, token.line, token.column)
-
-    def bound(self, depth: int, token: _Token) -> None:
-        if depth > _MAX_DEPTH:
-            raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", token)
-
-    # expr and term return a subtree together with its depth.
+    def found(self, index: int) -> str:
+        """The source text of token ``index``, lexed again from its start."""
+        match = _TOKEN_RE.match(self.text, self.starts[index])
+        return match[match.lastindex]
 
     def expr(self) -> tuple[SpecAst, int]:
         node, depth = self.term()
+        kinds = self.kinds
         connective = None
-        while self.current.kind in ("AND", "OR"):
-            token = self.advance()
-            if connective is not None and token.kind != connective:
-                raise self.error(
-                    "cannot mix 'and' and 'or' without parentheses", token
-                )
-            connective = token.kind
+        while kinds[self.pos] == "AND" or kinds[self.pos] == "OR":
+            index = self.pos
+            kind = kinds[index]
+            if connective is not None and kind != connective:
+                raise self.error("cannot mix 'and' and 'or' without parentheses", index)
+            connective = kind
+            self.pos = index + 1
             rhs, rhs_depth = self.term()
-            if token.kind == "AND":
-                node, depth = And(node, rhs), 1 + max(depth, rhs_depth)
+            depth = depth if depth > rhs_depth else rhs_depth
+            if kind == "AND":
+                node, depth = And(node, rhs), depth + 1
             else:
-                node, depth = _or(node, rhs), 3 + max(depth, rhs_depth)
-            self.bound(depth, token)
+                node, depth = Not(And(Not(node), Not(rhs))), depth + 3
+            if depth > _MAX_DEPTH:
+                raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", index)
         return node, depth
 
     def term(self) -> tuple[SpecAst, int]:
-        token = self.current
-        if token.kind not in ("NOT", "LPAREN"):
-            return self.atom(), 1
-        self.advance()
-        # Each 'not' or '(' on a path to an atom adds recursion, and in a
-        # tree within the bound fewer than _MAX_DEPTH of them enclose any
-        # atom (the serializer parenthesizes only And nodes).
-        self.nesting += 1
-        self.bound(self.nesting + 1, token)
-        if token.kind == "NOT":
-            node, depth = self.term()
-            node, depth = Not(node), depth + 1
-            self.bound(depth, token)
-        else:
-            node, depth = self.expr()
-            if self.current.kind != "RPAREN":
-                raise self.error("expected ')'")
-            self.advance()
-        self.nesting -= 1
-        return node, depth
-
-    def atom(self) -> Atom:
-        if self.current.kind != "IDENT":
-            raise self.error(f"expected an attribute name, found {self.current.text!r}")
-        name = self.advance().value
-        if self.current.kind != "OP":
-            raise self.error("expected a comparison operator (==, <, >, <=, >=)")
-        predicate = self.advance().value
-        literal, unit = self.literal()
-        return Atom(str(name), predicate, literal, unit)
-
-    def literal(self) -> tuple[object, str | None]:
-        token = self.advance()
-        if token.kind == "NUMBER":
-            unit = self.advance().value if self.current.kind == "IDENT" else None
-            return token.value, unit
-        if token.kind not in ("TRUE", "FALSE", "IDENT"):
-            raise self.error(f"expected a literal, found {token.text!r}", token)
-        if self.current.kind == "IDENT":
-            raise self.error("a unit tag is only allowed after a numeric literal")
-        return (token.value if token.kind == "IDENT" else token.kind == "TRUE"), None
-
-
-def _or(left: SpecAst, right: SpecAst) -> SpecAst:
-    return Not(And(Not(left), Not(right)))
+        kinds, pos = self.kinds, self.pos
+        kind = kinds[pos]
+        if kind == "NOT" or kind == "LPAREN":
+            self.pos = pos + 1
+            # Each 'not' or '(' on a path to an atom adds recursion, and in a
+            # tree within the bound fewer than _MAX_DEPTH of them enclose any
+            # atom (the serializer parenthesizes only And nodes).
+            self.nesting += 1
+            if self.nesting >= _MAX_DEPTH:
+                raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+            if kind == "NOT":
+                node, depth = self.term()
+                node, depth = Not(node), depth + 1
+                if depth > _MAX_DEPTH:
+                    raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+            else:
+                node, depth = self.expr()
+                if kinds[self.pos] != "RPAREN":
+                    raise self.error("expected ')'")
+                self.pos += 1
+            self.nesting -= 1
+            return node, depth
+        # atom := IDENT OP literal; an IDENT, OP or literal is never the EOF
+        # token, so the token after it exists
+        if kind != "IDENT":
+            raise self.error(f"expected an attribute name, found {self.found(pos)!r}", pos)
+        if kinds[pos + 1] != "OP":
+            raise self.error("expected a comparison operator (==, <, >, <=, >=)", pos + 1)
+        values = self.values
+        kind, literal, unit, end = kinds[pos + 2], values[pos + 2], None, pos + 3
+        if kind == "NUMBER":
+            if kinds[end] == "IDENT":
+                unit, end = values[end], end + 1
+        elif kind != "IDENT" and kind != "TRUE" and kind != "FALSE":
+            raise self.error(f"expected a literal, found {self.found(pos + 2)!r}", pos + 2)
+        elif kinds[end] == "IDENT":
+            raise self.error("a unit tag is only allowed after a numeric literal", end)
+        elif kind != "IDENT":
+            literal = kind == "TRUE"
+        self.pos = end
+        return Atom(values[pos], values[pos + 1], literal, unit), 1
 
 
 def parse_spec(text: str) -> SpecAst:
@@ -355,12 +344,12 @@ def parse_spec(text: str) -> SpecAst:
         SpecParseError: text outside the grammar, a number literal that has
             no int or finite float value, or a tree deeper than 256 levels.
     """
-    parser = _Parser(_lex(text))
-    if parser.current.kind == "EOF":
+    parser = _Parser(text)
+    if parser.kinds[0] == "EOF":
         raise parser.error("empty specification")
     node, _ = parser.expr()
-    if parser.current.kind != "EOF":
-        raise parser.error(f"unexpected trailing input {parser.current.text!r}")
+    if parser.kinds[parser.pos] != "EOF":
+        raise parser.error(f"unexpected trailing input {parser.found(parser.pos)!r}")
     return node
 
 
@@ -544,7 +533,6 @@ def render_value(value) -> str:
     raise ValueError(f"unsupported literal {value!r}")
 
 
-
 def _require_identifier(text: str, what: str) -> None:
     if not IDENTIFIER_RE.match(text) or text in RESERVED_WORDS:
         raise ValueError(f"{what} {text!r} has no syntax in the language")
@@ -561,21 +549,33 @@ def _serialize_atom(atom: Atom) -> str:
     return text
 
 
-def _serialize_term(node: SpecAst) -> str:
-    if isinstance(node, And):
-        return f"({serialize_spec(node)})"
-    if isinstance(node, Not):
-        return f"not {_serialize_term(node.operand)}"
-    return _serialize_atom(node)
-
-
 def serialize_spec(ast: SpecAst) -> str:
     """Canonical text: ``parse_spec(serialize_spec(x))`` is structurally ``x``.
 
     Conjunction chains print without parentheses on the left (matching the
-    parser's left associativity); any other nesting is parenthesized.
+    parser's left associativity); any other nesting is parenthesized. The
+    walk keeps its own stack, so a tree of any depth is written.
+
+    Raises:
+        ValueError: a name, label, unit or literal that has no syntax.
     """
-    if isinstance(ast, And):
-        left = serialize_spec(ast.left) if isinstance(ast.left, And) else _serialize_term(ast.left)
-        return f"{left} and {_serialize_term(ast.right)}"
-    return _serialize_term(ast)
+    parts: list[str] = []
+    # texts still to write, and nodes with whether they stand where a
+    # conjunction is parenthesized, popped in writing order
+    stack: list = [(ast, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, operand = item
+        if isinstance(node, And):
+            if operand:
+                stack += (")", (node, False), "(")
+            else:
+                stack += ((node.right, True), " and ", (node.left, False))
+        elif isinstance(node, Not):
+            stack += ((node.operand, True), "not ")
+        else:
+            parts.append(_serialize_atom(node))
+    return "".join(parts)

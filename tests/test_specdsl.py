@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 import sys
 from decimal import Decimal
 
@@ -152,7 +153,8 @@ class TestParse:
         # tabs and '\r' are one column each; the EOF token sits where the
         # input ends, also after a trailing comment
         text = "# head\n\troad_type ==\tmotorway\r\nand not (x >= -3.25 kmh\n\t\tor y<-1) # tail"
-        assert [(t.kind, t.line, t.column) for t in _lex(text)] == [
+        kinds, _, starts = _lex(text)
+        assert [(kind, *_line_and_column(text, start)) for kind, start in zip(kinds, starts)] == [
             ("IDENT", 2, 2), ("OP", 2, 12), ("IDENT", 2, 15),
             ("AND", 3, 1), ("NOT", 3, 5), ("LPAREN", 3, 9), ("IDENT", 3, 10),
             ("OP", 3, 12), ("NUMBER", 3, 15), ("IDENT", 3, 21),
@@ -223,6 +225,100 @@ class TestParse:
     def test_mixing_allowed_with_parentheses(self):
         ast = parse_spec("(a == x and b == y) or c == z")
         assert isinstance(ast, Not)
+
+
+def _line_and_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, from the lines before it."""
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+# What may stand between tokens: whitespace, and comments, one of which holds
+# characters that are refused outside a comment.
+_GAPS = (" ", "\t", "\r\n", "\n", " # note\n", "\t# $ \u00b2 \f ( 1.\r\n")
+
+
+def _gap_offsets(gap: str, start: int) -> list[int]:
+    """The offsets from the start to the end of a gap at ``start`` that lie
+    outside its comments; a comment runs on to its newline."""
+    offsets, comment = [], False
+    for index in range(len(gap) + 1):
+        if not comment:
+            offsets.append(start + index)
+        if index < len(gap) and gap[index] in "#\n":
+            comment = gap[index] == "#"
+    return offsets
+
+
+def _padded_spec(rng: random.Random) -> tuple[str, list[tuple[str, int]], list[int]]:
+    """The canonical text of a random spec over SPEC_FAMILY with random gaps
+    before, between and after its tokens, the last gap perhaps a comment
+    with no newline. Returns the text, its tokens as (text, offset) and the
+    offsets in gaps that lie outside comments."""
+    canonical = serialize_spec(random_spec(rng, rng.choice(SPEC_FAMILY), 4))
+    text, tokens, offsets = "", [], []
+    for index, word in enumerate(re.findall(r"[()]|[^ ()]+", canonical)):
+        gap = "".join(rng.choice(_GAPS) for _ in range(rng.randrange(min(index, 1), 3)))
+        offsets += _gap_offsets(gap, len(text))
+        text += gap
+        tokens.append((word, len(text)))
+        text += word
+    gap = "".join(rng.choice(_GAPS) for _ in range(rng.randrange(3)))
+    gap += rng.choice(("", "# tail", "\t#"))
+    offsets += _gap_offsets(gap, len(text))
+    return text + gap, tokens, offsets
+
+
+class TestPositions:
+    """Every position the lexer and parser name, against line and column
+    worked out from the lines before the offset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["$", "\f", "\u00b2"]))
+    def test_an_unexpected_character_is_named_where_it_stands(self, rng, char):
+        text, tokens, offsets = _padded_spec(rng)
+        # inside a name or keyword too: the part before it is a whole token
+        offsets += [
+            start + index
+            for word, start in tokens
+            if word[0].isalpha()
+            for index in range(1, len(word))
+        ]
+        offset = rng.choice(offsets)
+        with pytest.raises(SpecParseError) as caught:
+            parse_spec(text[:offset] + char + text[offset:])
+        line, column = _line_and_column(text, offset)
+        assert (caught.value.line, caught.value.column) == (line, column)
+        assert str(caught.value) == f"line {line}, column {column}: unexpected character {char!r}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_text_cut_short_is_refused_where_it_ends(self, rng):
+        # the tokens before the cut begin a valid spec, so the parser
+        # stops at none of them, and a comment may run on to the cut
+        text, _, offsets = _padded_spec(rng)
+        cut = rng.choice(offsets)
+        try:
+            parse_spec(text[:cut])
+        except SpecParseError as refusal:
+            assert (refusal.line, refusal.column) == _line_and_column(text, cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_each_token_starts_at_its_own_text(self, rng):
+        text, tokens, _ = _padded_spec(rng)
+        kinds, values, starts = _lex(text)
+        assert starts == [start for _, start in tokens] + [len(text)]
+        assert kinds[-1] == "EOF"
+        for (word, _), kind, value in zip(tokens, kinds, values):
+            if kind == "IDENT":
+                assert value == word
+            elif kind == "OP":
+                assert value.value == word
+            elif kind == "NUMBER":
+                assert value == int(word)
+            else:
+                assert kind == {"(": "LPAREN", ")": "RPAREN"}.get(word, word.upper())
 
 
 class TestCheck:
@@ -560,6 +656,20 @@ class TestSerialize:
             parsed = parse_spec(text)
             assert parsed.literal == value
             assert isinstance(parsed.literal, float)
+
+    def test_a_tree_of_any_depth_is_written(self):
+        a = Atom("a", Predicate.EQ, True)
+        left, right, negation = a, a, a
+        for _ in range(999):
+            left, right, negation = And(left, a), And(a, right), Not(negation)
+        assert serialize_spec(left) == " and ".join(["a == true"] * 1000)
+        assert serialize_spec(right) == (
+            "a == true and (" * 998 + "a == true and a == true" + ")" * 998
+        )
+        assert serialize_spec(negation) == "not " * 999 + "a == true"
+        # a name with no syntax is refused, however deep it sits
+        with pytest.raises(ValueError, match="attribute name 'A'"):
+            serialize_spec(And(left, Not(Atom("A", Predicate.EQ, True))))
 
     def test_non_finite_literal_has_no_syntax(self):
         with pytest.raises(ValueError):
