@@ -13,7 +13,6 @@ from .domain import (
     Trace,
     cod_of,
     enumerate_od,
-    is_unknown,
     iter_trace,
     make_lod,
     parse_lod,
@@ -41,7 +40,6 @@ from .evaluator import (
     count_odd,
     diagnose,
     enumerate_odd,
-    eval_atom,
     eval_spec,
     in_odd,
     kleene_and,

@@ -61,10 +61,6 @@ UNKNOWN = _Unknown()
 AttributeValue = Union[str, bool, int, float, _Unknown]
 
 
-def is_unknown(value: AttributeValue) -> bool:
-    return value is UNKNOWN
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Lod:
     """One domain sample: values in taxonomy attribute order, at time ``t``

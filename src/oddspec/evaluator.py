@@ -24,13 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .domain import UNKNOWN, AttributeValue, Lod, _product, value_spaces
-from .errors import (
-    EvaluationError,
-    PredicateNotApplicableError,
-    SpecCheckError,
-    UnknownValueError,
-)
-from .specdsl import Atom, Group, WellFormedSpec, _check_atom
+from .errors import EvaluationError, UnknownValueError
+from .specdsl import Atom, Group, WellFormedSpec
 from .taxonomy import Taxonomy, _check_binding, _type_cardinality
 
 
@@ -187,34 +182,6 @@ def _evaluate(spec: WellFormedSpec, values) -> list[int]:
     # the last values are all Unknown, so no hint is read or written
     _relift(spec, spec.groups, values, (UNKNOWN,) * len(values), row, ())
     return row
-
-
-def eval_atom(atom: Atom, lod: Lod, taxonomy: Taxonomy) -> Verdict:
-    """Truth value of one constraint against one sample.
-
-    The atom is checked as ``check_spec`` checks it, including its
-    ``RealEqualityWarning``. Unknown attribute values yield
-    Verdict.UNKNOWN. Equality is exact (labels byte-equal, numbers by
-    numeric equality with int-to-real widening); ordering uses numeric
-    order, or label order for enums declared ordered.
-
-    Raises:
-        EvaluationError: the atom or sample does not fit the taxonomy,
-            which signals a spec that was never checked against it.
-        PredicateNotApplicableError: ordering predicate on a type with no
-            defined order.
-    """
-    _check_arity(lod.values, taxonomy)
-    try:
-        index, test, literal = _check_atom(atom, taxonomy)
-    except PredicateNotApplicableError:
-        raise
-    except SpecCheckError as exc:
-        raise EvaluationError(
-            f"cannot compare: {exc}; was the spec checked against this taxonomy?"
-        ) from None
-    value = lod.values[index]
-    return Verdict.UNKNOWN if value is UNKNOWN else _VERDICT[2 * test(literal, value)]
 
 
 def eval_spec(spec: WellFormedSpec, lod: Lod) -> Verdict:

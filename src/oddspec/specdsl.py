@@ -57,6 +57,15 @@ class Predicate(enum.Enum):
 ORDERING_PREDICATES = frozenset({Predicate.LT, Predicate.GT, Predicate.LE, Predicate.GE})
 
 
+# Deepest tree a spec node may hold: an atom is one level, each Not and And
+# one more. Not and And refuse to be built deeper, so the dataclass ==, hash
+# and repr, pickle and every walk over a tree recurse well inside the
+# interpreter's stack, which they overflow at a few hundred levels.
+_MAX_DEPTH = 256
+_TOO_DEEP = f"the spec nests too deeply: more than {_MAX_DEPTH} levels"
+_write = object.__setattr__  # past the frozen __setattr__, with no lookup per call
+
+
 @dataclass(frozen=True)
 class Atom:
     """One constraint: an attribute compared against a literal."""
@@ -66,22 +75,65 @@ class Atom:
     literal: Union[bool, int, float, str]
     unit: str | None = None
 
+    _depth = 1  # levels of the tree rooted here; not a field
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Not:
     """Negation of a subtree: True where the operand is False, and Unknown
-    where it is Unknown."""
+    where it is Unknown.
+
+    Raises:
+        SpecCheckError: the tree would be deeper than 256 levels.
+        TypeError: the operand is not a spec node.
+    """
 
     operand: "SpecAst"
 
+    def __init__(self, operand: "SpecAst"):
+        try:
+            depth = operand._depth + 1
+        except AttributeError:
+            raise TypeError(f"not a spec node: {operand!r}") from None
+        if depth > _MAX_DEPTH:
+            raise SpecCheckError(_TOO_DEEP)
+        _write(self, "operand", operand)
+        _write(self, "_depth", depth)
 
-@dataclass(frozen=True)
+    def __deepcopy__(self, memo):  # immutable; a copy would recurse per level
+        return self
+
+
+@dataclass(frozen=True, init=False)
 class And:
     """Conjunction of two subtrees under strong Kleene logic; ``a or b`` is
-    parsed as ``not (not a and not b)``."""
+    parsed as ``not (not a and not b)``.
+
+    Raises:
+        SpecCheckError: the tree would be deeper than 256 levels.
+        TypeError: an operand is not a spec node.
+    """
 
     left: "SpecAst"
     right: "SpecAst"
+
+    def __init__(self, left: "SpecAst", right: "SpecAst"):
+        try:
+            depth = left._depth
+            right_depth = right._depth
+        except AttributeError:
+            node = right if hasattr(left, "_depth") else left
+            raise TypeError(f"not a spec node: {node!r}") from None
+        if right_depth > depth:
+            depth = right_depth
+        if depth >= _MAX_DEPTH:
+            raise SpecCheckError(_TOO_DEEP)
+        _write(self, "left", left)
+        _write(self, "right", right)
+        _write(self, "_depth", depth + 1)
+
+    def __deepcopy__(self, memo):  # immutable; a copy would recurse per level
+        return self
 
 
 SpecAst = Union[Atom, Not, And]
@@ -131,8 +183,7 @@ class WellFormedSpec:
 
     Raises:
         SpecCheckError: unknown attribute, literal kind mismatch,
-            out-of-domain literal, unit mismatch, or a tree deeper than
-            ``parse_spec`` accepts.
+            out-of-domain literal or unit mismatch.
         PredicateNotApplicableError: ordering predicate on a type with no
             defined order.
     """
@@ -153,16 +204,15 @@ class WellFormedSpec:
         for atom_index, atom in enumerate(found):
             index, test, literal = _check_atom(atom, taxonomy)
             groups.setdefault(index, []).append((atom_index, test, literal))
-        # past the frozen __setattr__, but not into self.__dict__: that dict
-        # would make every later read of a field 4x slower
-        write = object.__setattr__
-        write(self, "ast", ast)
-        write(self, "taxonomy", taxonomy)
-        write(self, "atoms", tuple(found))
-        write(self, "blame", tuple(blame))
-        write(self, "groups", tuple(_group(taxonomy, *item) for item in sorted(groups.items())))
-        write(self, "parents", tuple(parents))
-        write(self, "children", tuple(children))
+        # not into self.__dict__: that dict would make every later read of a
+        # field 4x slower
+        _write(self, "ast", ast)
+        _write(self, "taxonomy", taxonomy)
+        _write(self, "atoms", tuple(found))
+        _write(self, "blame", tuple(blame))
+        _write(self, "groups", tuple(_group(taxonomy, *item) for item in sorted(groups.items())))
+        _write(self, "parents", tuple(parents))
+        _write(self, "children", tuple(children))
 
     @property
     def mentioned_attributes(self) -> frozenset[str]:
@@ -247,16 +297,10 @@ def _lex(text: str) -> tuple[list[str], list, list[int]]:
 # --------------------------------------------------------------------------
 
 
-# Deepest tree parse_spec accepts. An atom is one level, each Not and And
-# one more. The AST utilities and the dataclass ==, hash and repr all
-# recurse on the tree, and at some 330 levels they overflow the
-# interpreter's stack.
-_MAX_DEPTH = 256
-
-
 class _Parser:
     """Recursive descent over ``_lex``'s lists; ``pos`` indexes the current
-    token. ``expr`` and ``term`` return a subtree together with its depth."""
+    token. A node the parser builds refuses depth past ``_MAX_DEPTH``, and
+    the parser reports that at the token that would have built it."""
 
     def __init__(self, text: str):
         self.text = text
@@ -272,8 +316,8 @@ class _Parser:
         match = _TOKEN_RE.match(self.text, self.starts[index])
         return match[match.lastindex]
 
-    def expr(self) -> tuple[SpecAst, int]:
-        node, depth = self.term()
+    def expr(self) -> SpecAst:
+        node = self.term()
         kinds = self.kinds
         connective = None
         while kinds[self.pos] == "AND" or kinds[self.pos] == "OR":
@@ -283,17 +327,14 @@ class _Parser:
                 raise self.error("cannot mix 'and' and 'or' without parentheses", index)
             connective = kind
             self.pos = index + 1
-            rhs, rhs_depth = self.term()
-            depth = depth if depth > rhs_depth else rhs_depth
-            if kind == "AND":
-                node, depth = And(node, rhs), depth + 1
-            else:
-                node, depth = Not(And(Not(node), Not(rhs))), depth + 3
-            if depth > _MAX_DEPTH:
-                raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", index)
-        return node, depth
+            rhs = self.term()
+            try:
+                node = And(node, rhs) if kind == "AND" else Not(And(Not(node), Not(rhs)))
+            except SpecCheckError:
+                raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", index) from None
+        return node
 
-    def term(self) -> tuple[SpecAst, int]:
+    def term(self) -> SpecAst:
         kinds, pos = self.kinds, self.pos
         kind = kinds[pos]
         if kind == "NOT" or kind == "LPAREN":
@@ -305,17 +346,18 @@ class _Parser:
             if self.nesting >= _MAX_DEPTH:
                 raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", pos)
             if kind == "NOT":
-                node, depth = self.term()
-                node, depth = Not(node), depth + 1
-                if depth > _MAX_DEPTH:
-                    raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+                node = self.term()
+                try:
+                    node = Not(node)
+                except SpecCheckError:
+                    raise self.error(f"nesting deeper than {_MAX_DEPTH} levels", pos) from None
             else:
-                node, depth = self.expr()
+                node = self.expr()
                 if kinds[self.pos] != "RPAREN":
                     raise self.error("expected ')'")
                 self.pos += 1
             self.nesting -= 1
-            return node, depth
+            return node
         # atom := IDENT OP literal; an IDENT, OP or literal is never the EOF
         # token, so the token after it exists
         if kind != "IDENT":
@@ -334,7 +376,7 @@ class _Parser:
         elif kind != "IDENT":
             literal = kind == "TRUE"
         self.pos = end
-        return Atom(values[pos], values[pos + 1], literal, unit), 1
+        return Atom(values[pos], values[pos + 1], literal, unit)
 
 
 def parse_spec(text: str) -> SpecAst:
@@ -347,7 +389,7 @@ def parse_spec(text: str) -> SpecAst:
     parser = _Parser(text)
     if parser.kinds[0] == "EOF":
         raise parser.error("empty specification")
-    node, _ = parser.expr()
+    node = parser.expr()
     if parser.kinds[parser.pos] != "EOF":
         raise parser.error(f"unexpected trailing input {parser.found(parser.pos)!r}")
     return node
@@ -361,20 +403,14 @@ def parse_spec(text: str) -> SpecAst:
 def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tuple]]:
     """One walk of the tree: its distinct atoms in first-occurrence order,
     each atom's blame flag and its node table (``WellFormedSpec.parents``
-    and ``children``), with ``not not`` chains folded out.
-
-    Raises:
-        SpecCheckError: the tree is deeper than ``parse_spec`` accepts.
-    """
+    and ``children``), with ``not not`` chains folded out."""
     positions: dict[Atom, int] = {}
     blame: list[bool] = []
     operands: list[tuple[int, ...]] = []
 
-    def visit(node: SpecAst, positive: bool, level: int = 1) -> int:
+    def visit(node: SpecAst, positive: bool) -> int:
         # the node's number: an atom's position, or -1 - j for the j-th
         # operator in post-order, as the number of atoms is not yet known
-        if level > _MAX_DEPTH:
-            raise SpecCheckError(f"the spec nests too deeply: more than {_MAX_DEPTH} levels")
         if isinstance(node, Atom):
             position = positions.setdefault(node, len(blame))
             if position == len(blame):
@@ -384,11 +420,10 @@ def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tu
             return position
         if isinstance(node, Not):
             if isinstance(node.operand, Not):  # not not p folds to p
-                return visit(node.operand.operand, positive, level + 2)
-            operands.append((visit(node.operand, not positive, level + 1),))
+                return visit(node.operand.operand, positive)
+            operands.append((visit(node.operand, not positive),))
         elif isinstance(node, And):
-            level += 1
-            operands.append((visit(node.left, positive, level), visit(node.right, positive, level)))
+            operands.append((visit(node.left, positive), visit(node.right, positive)))
         else:
             raise TypeError(f"not a spec node: {node!r}")
         return -len(operands)
@@ -410,11 +445,7 @@ def _compile(ast: SpecAst) -> tuple[list[Atom], list[bool], list[tuple], list[tu
 
 
 def atoms(ast: SpecAst) -> list[Atom]:
-    """Distinct atoms in first-occurrence order.
-
-    Raises:
-        SpecCheckError: the tree is deeper than ``parse_spec`` accepts.
-    """
+    """Distinct atoms in first-occurrence order."""
     return _compile(ast)[0]
 
 
@@ -468,7 +499,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
             f"{atom.attribute_name}: '{atom.predicate.value}' is not defined for {unordered}"
         )
     if isinstance(kind, RealType) and atom.predicate is Predicate.EQ:
-        # name the caller of the constructor or of eval_atom, two frames up,
+        # name the caller of the constructor, two frames up,
         # or else the caller of the dataclasses.replace that built the spec
         frame, level = sys._getframe(2), 3
         while frame.f_globals.get("__name__") == "dataclasses":
@@ -553,29 +584,15 @@ def serialize_spec(ast: SpecAst) -> str:
     """Canonical text: ``parse_spec(serialize_spec(x))`` is structurally ``x``.
 
     Conjunction chains print without parentheses on the left (matching the
-    parser's left associativity); any other nesting is parenthesized. The
-    walk keeps its own stack, so a tree of any depth is written.
+    parser's left associativity); any other nesting is parenthesized.
 
     Raises:
         ValueError: a name, label, unit or literal that has no syntax.
     """
-    parts: list[str] = []
-    # texts still to write, and nodes with whether they stand where a
-    # conjunction is parenthesized, popped in writing order
-    stack: list = [(ast, False)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        node, operand = item
-        if isinstance(node, And):
-            if operand:
-                stack += (")", (node, False), "(")
-            else:
-                stack += ((node.right, True), " and ", (node.left, False))
-        elif isinstance(node, Not):
-            stack += ((node.operand, True), "not ")
-        else:
-            parts.append(_serialize_atom(node))
-    return "".join(parts)
+    if isinstance(ast, And):
+        left, right = serialize_spec(ast.left), serialize_spec(ast.right)
+        return f"{left} and ({right})" if isinstance(ast.right, And) else f"{left} and {right}"
+    if isinstance(ast, Not):
+        operand = serialize_spec(ast.operand)
+        return f"not ({operand})" if isinstance(ast.operand, And) else f"not {operand}"
+    return _serialize_atom(ast)

@@ -31,7 +31,6 @@ from oddspec import (
     domain_cardinality,
     enumerate_od,
     enumerate_odd,
-    is_unknown,
     iter_trace,
     make_lod,
     parse_lod,
@@ -76,7 +75,7 @@ class TestMakeLod:
     def test_missing_attributes_become_unknown(self, finite_taxonomy):
         lod = make_lod(finite_taxonomy, {})
         assert lod.values == (UNKNOWN, UNKNOWN)
-        assert all(is_unknown(v) for v in lod.values)
+        assert all(v is UNKNOWN for v in lod.values)
 
     def test_unknown_attribute_name(self, finite_taxonomy):
         with pytest.raises(LodError, match="unknown attribute"):

@@ -17,7 +17,6 @@ from oddspec import (
     Lod,
     Not,
     Predicate,
-    PredicateNotApplicableError,
     RealEqualityWarning,
     Taxonomy,
     UnknownValueError,
@@ -28,7 +27,6 @@ from oddspec import (
     domain_cardinality,
     enumerate_od,
     enumerate_odd,
-    eval_atom,
     eval_spec,
     in_odd,
     kleene_and,
@@ -96,48 +94,35 @@ class TestEvalAtom:
     def test_label_equality(self, motorway_taxonomy):
         atom = Atom("road_type", Predicate.EQ, "motorway")
         lod = _lod(motorway_taxonomy, road="motorway", ped=False, speed=45)
-        assert eval_atom(atom, lod, motorway_taxonomy) is T
-        assert eval_atom(atom, _lod(motorway_taxonomy, road="rural"), motorway_taxonomy) is F
+        spec = check_spec(atom, motorway_taxonomy)
+        assert eval_spec(spec, lod) is T
+        assert eval_spec(spec, _lod(motorway_taxonomy, road="rural")) is F
 
     def test_strict_less_than_at_the_boundary(self, motorway_taxonomy):
         atom = Atom("operational_speed", Predicate.LT, 60)
         at_limit = _lod(motorway_taxonomy, speed=60.0)
         below = _lod(motorway_taxonomy, speed=59.999)
-        assert eval_atom(atom, at_limit, motorway_taxonomy) is F
-        assert eval_atom(atom, below, motorway_taxonomy) is T
+        spec = check_spec(atom, motorway_taxonomy)
+        assert eval_spec(spec, at_limit) is F
+        assert eval_spec(spec, below) is T
 
     def test_unknown_propagates(self, motorway_taxonomy):
         atom = Atom("pedestrian_present", Predicate.EQ, False)
-        assert eval_atom(atom, _lod(motorway_taxonomy), motorway_taxonomy) is U
+        assert eval_spec(check_spec(atom, motorway_taxonomy), _lod(motorway_taxonomy)) is U
 
     def test_int_literal_against_real_value(self, motorway_taxonomy):
         atom = Atom("operational_speed", Predicate.EQ, 45)
         with pytest.warns(RealEqualityWarning):
-            verdict = eval_atom(atom, _lod(motorway_taxonomy, speed=45.0), motorway_taxonomy)
-        assert verdict is T
+            spec = check_spec(atom, motorway_taxonomy)
+        assert eval_spec(spec, _lod(motorway_taxonomy, speed=45.0)) is T
 
     def test_ordered_enum_uses_label_order(self):
         t = Taxonomy((Attribute("level", EnumType(("lo", "mid", "hi"), ordered=True)),))
         lod = make_lod(t, {"level": "mid"})
-        assert eval_atom(Atom("level", Predicate.GT, "lo"), lod, t) is T
-        assert eval_atom(Atom("level", Predicate.LT, "lo"), lod, t) is F
-        assert eval_atom(Atom("level", Predicate.LE, "mid"), lod, t) is T
-        assert eval_atom(Atom("level", Predicate.GE, "hi"), lod, t) is F
-
-    def test_unchecked_spec_is_reported(self, motorway_taxonomy, finite_taxonomy):
-        lod = _lod(motorway_taxonomy, road="motorway")
-        with pytest.raises(EvaluationError, match="unknown attribute"):
-            eval_atom(Atom("weather", Predicate.EQ, "dry"), lod, motorway_taxonomy)
-        with pytest.raises(EvaluationError, match="declares"):
-            eval_atom(
-                Atom("road_type", Predicate.EQ, "motorway"),
-                make_lod(finite_taxonomy, {}),
-                motorway_taxonomy,
-            )
-        with pytest.raises(EvaluationError, match="compare"):
-            eval_atom(Atom("road_type", Predicate.EQ, True), lod, motorway_taxonomy)
-        with pytest.raises(PredicateNotApplicableError):
-            eval_atom(Atom("road_type", Predicate.GT, "motorway"), lod, motorway_taxonomy)
+        assert eval_spec(check_spec(Atom("level", Predicate.GT, "lo"), t), lod) is T
+        assert eval_spec(check_spec(Atom("level", Predicate.LT, "lo"), t), lod) is F
+        assert eval_spec(check_spec(Atom("level", Predicate.LE, "mid"), t), lod) is T
+        assert eval_spec(check_spec(Atom("level", Predicate.GE, "hi"), t), lod) is F
 
     @pytest.mark.parametrize("taxonomy", SPEC_FAMILY, ids=lambda t: t.version)
     def test_every_atom_of_random_specs_agrees_with_the_truth_tables(self, taxonomy):
@@ -157,7 +142,7 @@ class TestEvalAtom:
                 }
                 lod = Lod(0.0, 0.0, 0.0, values)
                 for atom in spec.atoms:
-                    verdict = eval_atom(atom, lod, taxonomy).value
+                    verdict = eval_spec(check_spec(atom, taxonomy), lod).value
                     assert verdict == eval_kleene(atom, partial, orders)
                     seen.add(verdict)
         assert "unknown" in seen

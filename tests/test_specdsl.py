@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -54,6 +55,17 @@ MOTORWAY_SPEC_TEXT = (
     "road_type == motorway and pedestrian_present == false "
     "and operational_speed < 60 kmh"
 )
+
+A = Atom("a", Predicate.EQ, True)
+
+
+def _chains(levels: int) -> tuple[And, And, Not]:
+    """A left and a right conjunction chain and a negation chain of atom
+    ``a == true``, each ``levels`` deep."""
+    left = right = negation = A
+    for _ in range(levels - 1):
+        left, right, negation = And(left, A), And(A, right), Not(negation)
+    return left, right, negation
 
 
 class TestParse:
@@ -195,32 +207,15 @@ class TestParse:
 
     def test_a_library_tree_deeper_than_the_parser_accepts_is_refused(self):
         taxonomy = Taxonomy((Attribute("a", BoolType()),), version="deep1")
-        a = Atom("a", Predicate.EQ, True)
-
-        def conjunction(levels):
-            node = a
-            for _ in range(levels - 1):
-                node = And(node, a)
-            return node
-
-        def negation(levels):
-            node = a
-            for _ in range(levels - 1):
-                node = Not(node)
-            return node
-
         lod = make_lod(taxonomy, {"a": True})
-        for ast, verdict in ((conjunction(256), "true"), (negation(256), "false")):
+        conjunction, _, negation = _chains(256)
+        for ast, verdict in ((conjunction, "true"), (negation, "false")):
             assert diagnose(check_spec(ast, taxonomy), lod).verdict.value == verdict
-        spec = check_spec(a, taxonomy)
-        # the nots fold away in pairs, yet the tree is too deep to hold
-        for ast in (conjunction(257), conjunction(1201), negation(257), negation(3000)):
+            assert atoms(ast) == [A]
+        # the nots would fold away in pairs, yet the tree is too deep to build
+        for build in (lambda: And(conjunction, A), lambda: Not(negation), lambda: _chains(1201)):
             with pytest.raises(SpecCheckError, match="nests too deeply: more than 256 levels"):
-                check_spec(ast, taxonomy)
-            with pytest.raises(SpecCheckError, match="nests too deeply"):
-                dataclasses.replace(spec, ast=ast)
-            with pytest.raises(SpecCheckError, match="nests too deeply"):
-                atoms(ast)
+                build()
 
     def test_mixing_allowed_with_parentheses(self):
         ast = parse_spec("(a == x and b == y) or c == z")
@@ -603,6 +598,69 @@ class TestConstructor:
         assert [w.filename for w in caught] == [__file__, __file__, __file__]
 
 
+def _levels(node) -> int:
+    if isinstance(node, Not):
+        return 1 + _levels(node.operand)
+    if isinstance(node, And):
+        return 1 + max(_levels(node.left), _levels(node.right))
+    return 1
+
+
+def _subtrees(node):
+    yield node
+    if isinstance(node, Not):
+        yield from _subtrees(node.operand)
+    elif isinstance(node, And):
+        yield from _subtrees(node.left)
+        yield from _subtrees(node.right)
+
+
+class TestDepth:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(SPEC_FAMILY), st.integers(0, 10))
+    def test_each_node_holds_its_depth(self, rng, taxonomy, depth):
+        for ast in (random_free_ast(rng, depth), random_spec(rng, taxonomy, depth)):
+            for node in _subtrees(ast):
+                assert node._depth == _levels(node)
+
+    def test_a_node_past_256_levels_is_refused_when_built(self):
+        left, right, negation = _chains(256)
+        # an 'or' of depth 257: its inner conjunction is 256 deep and builds
+        inner = And(Not(left.left.left), Not(A))
+        builds = (
+            lambda: And(left, A),
+            lambda: And(A, right),
+            lambda: Not(negation),
+            lambda: Not(inner),
+            lambda: dataclasses.replace(And(A, A), left=left),
+            lambda: dataclasses.replace(Not(A), operand=right),
+        )
+        for build in builds:
+            with pytest.raises(SpecCheckError) as caught:
+                build()
+            assert str(caught.value) == "the spec nests too deeply: more than 256 levels"
+
+    def test_a_tree_at_the_bound_is_a_plain_value(self):
+        assert [f.name for f in dataclasses.fields(And)] == ["left", "right"]
+        assert [f.name for f in dataclasses.fields(Not)] == ["operand"]
+        for ast in _chains(256):
+            twin = parse_spec(serialize_spec(ast))
+            assert twin == ast and twin is not ast
+            assert hash(twin) == hash(ast)
+            assert repr(twin) == repr(ast) and "_depth" not in repr(ast)
+            for copied in (pickle.loads(pickle.dumps(ast)), copy.deepcopy(ast)):
+                assert copied == ast
+                # a copy keeps its depth, so it cannot grow past the bound
+                with pytest.raises(SpecCheckError, match="nests too deeply"):
+                    Not(copied)
+
+    def test_a_non_node_operand_is_refused(self):
+        thing = object()
+        for build in (lambda: Not(thing), lambda: And(thing, A), lambda: And(A, thing)):
+            with pytest.raises(TypeError, match=f"^not a spec node: {re.escape(repr(thing))}$"):
+                build()
+
+
 class TestAtoms:
     def test_occurrence_order(self):
         assert atoms(parse_spec(MOTORWAY_SPEC_TEXT)) == [S1, S2, S3]
@@ -658,18 +716,15 @@ class TestSerialize:
             assert isinstance(parsed.literal, float)
 
     def test_a_tree_of_any_depth_is_written(self):
-        a = Atom("a", Predicate.EQ, True)
-        left, right, negation = a, a, a
-        for _ in range(999):
-            left, right, negation = And(left, a), And(a, right), Not(negation)
-        assert serialize_spec(left) == " and ".join(["a == true"] * 1000)
+        left, right, negation = _chains(256)
+        assert serialize_spec(left) == " and ".join(["a == true"] * 256)
         assert serialize_spec(right) == (
-            "a == true and (" * 998 + "a == true and a == true" + ")" * 998
+            "a == true and (" * 254 + "a == true and a == true" + ")" * 254
         )
-        assert serialize_spec(negation) == "not " * 999 + "a == true"
+        assert serialize_spec(negation) == "not " * 255 + "a == true"
         # a name with no syntax is refused, however deep it sits
         with pytest.raises(ValueError, match="attribute name 'A'"):
-            serialize_spec(And(left, Not(Atom("A", Predicate.EQ, True))))
+            serialize_spec(And(left.left, Not(Atom("A", Predicate.EQ, True))))
 
     def test_non_finite_literal_has_no_syntax(self):
         with pytest.raises(ValueError):
