@@ -14,12 +14,11 @@ import math
 import os
 import sys
 import warnings
-from typing import Iterator
+from collections.abc import Iterator
 
-from .domain import _product, iter_trace, parse_lod, value_spaces
+# only what main runs for every command; each cmd_* imports its own layers,
+# so that a command loads no module it does not run
 from .errors import OddspecError
-from .evaluator import Verdict, _admitting_prefixes, count_odd, diagnose
-from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
 from .specdsl import WellFormedSpec, check_spec, parse_spec, render_value, serialize_spec
 from .taxonomy import _TAG_OF, _TYPE_TAGS, EnumType, Taxonomy, domain_cardinality, parse_taxonomy
 
@@ -74,7 +73,11 @@ def _type_summary(attr_type) -> str:
 
 
 def cmd_validate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
-    odd_size = None if spec is None else count_odd(taxonomy, spec)
+    odd_size = None
+    if spec is not None:
+        from .evaluator import count_odd
+
+        odd_size = count_odd(taxonomy, spec)
     print(f"version: {taxonomy.version}")
     print(f"attributes: {len(taxonomy)}")
     for attribute in taxonomy.attributes:
@@ -93,6 +96,9 @@ def cmd_check(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
 
 
 def cmd_eval(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
+    from .domain import parse_lod
+    from .evaluator import diagnose
+
     record = args.lod if args.lod.lstrip().startswith("{") else _read(args.lod)
     lod = parse_lod(record, taxonomy)
     report = diagnose(spec, lod)
@@ -118,20 +124,36 @@ class _Rendered:
 def _listing(taxonomy: Taxonomy, spec: WellFormedSpec | None) -> Iterator[str]:
     """The lines of ``enumerate_od`` or ``enumerate_odd``: the same walk and
     the same product, over the values' texts, so that each admitted prefix
-    is rendered once."""
+    is rendered once. The product runs over every position but the last,
+    and each of its lines is completed with every text of the last one."""
+    from .domain import _product, value_spaces
+
     spaces = value_spaces(taxonomy)
-    texts = [
+    if not spaces:
+        yield "\n"  # the empty tuple; a checked spec has an atom, so there is none here
+        return
+    *texts, last = [
         _Rendered(space) if isinstance(space, range) else tuple(map(render_value, space))
         for space in spaces
     ]
-    # main checked the spec against this taxonomy, which is enumerate_odd's first check
-    prefixes = [([], 0)] if spec is None else _admitting_prefixes(spec, spaces, range(len(spaces)))
+    if spec is None:
+        prefixes = [([], 0)]
+    else:
+        from .evaluator import _admitting_prefixes
+
+        # main checked the spec against this taxonomy, which is enumerate_odd's first check
+        prefixes = _admitting_prefixes(spec, spaces, range(len(spaces)))
     for values, depth in prefixes:
         head = ",".join(map(render_value, values[:depth]))
-        if 0 < depth < len(spaces):
+        if depth == len(spaces):
+            yield head + "\n"
+            continue
+        if depth:
             head += ","
         for rest in _product(texts[depth:]):
-            yield head + ",".join(rest) + "\n"
+            line = head + ",".join(rest) + "," if rest else head
+            for text in last:
+                yield line + text + "\n"
 
 
 def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
@@ -139,26 +161,32 @@ def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
     return 0
 
 
-_VERDICT_LINE = {verdict: f" verdict={verdict.value}\n" for verdict in Verdict}
-
-
 def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
+    from .domain import iter_trace
+    from .evaluator import Verdict
+    from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
+
+    verdict_line = {verdict: f" verdict={verdict.value}\n" for verdict in Verdict}
     state = monitor_init(spec, taxonomy)
-    events = []
+    # events are held only for a report; --fail-on-exit needs one flag
+    events, exited = [], False
     write = sys.stdout.write
     for sample in iter_trace(_lines(args.trace), taxonomy):
         _, verdict, step_events = monitor_step(state, sample)
-        events.extend(step_events)
+        if step_events:
+            if args.report is not None:
+                events.extend(step_events)
+            exited = exited or any(event.kind is EventKind.EXIT for event in step_events)
         try:
-            write(f"t={render_value(sample.t)}{_VERDICT_LINE[verdict]}")
+            write(f"t={render_value(sample.t)}{verdict_line[verdict]}")
         except BrokenPipeError:
             # the status and the report describe the whole trace, so the fold goes on
             _drop_stdout()
+    # built without --report too: it refuses a trace with no samples
     report = report_from_state(state, events)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as file:
             file.write(report_json(report))
-    exited = any(event.kind is EventKind.EXIT for event in report.events)
     if args.fail_on_exit and exited:
         return 3
     return 0

@@ -23,10 +23,10 @@ import io
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InfiniteDomainError, LodError, TraceError
 from .taxonomy import (
@@ -58,7 +58,7 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-AttributeValue = Union[str, bool, int, float, _Unknown]
+AttributeValue = str | bool | int | float | _Unknown
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -303,7 +303,7 @@ def parse_lod(text: str, taxonomy: Taxonomy) -> Lod:
     return _parse_record(text, 1, taxonomy)
 
 
-def iter_trace(lines: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Iterator[Lod]:
+def iter_trace(lines: str | Iterable[str], taxonomy: Taxonomy) -> Iterator[Lod]:
     """Yield the samples of a trace document, one per line, as it is read;
     blank lines are ignored. A string splits into lines as a text file
     does: at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
@@ -327,7 +327,7 @@ def iter_trace(lines: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Iterator
         yield sample
 
 
-def parse_trace(stream: Union[str, Iterable[str]], taxonomy: Taxonomy) -> Trace:
+def parse_trace(stream: str | Iterable[str], taxonomy: Taxonomy) -> Trace:
     """Parse a whole trace document; raises as ``iter_trace`` does."""
     return Trace(taxonomy, tuple(iter_trace(stream, taxonomy)))
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .domain import UNKNOWN, AttributeValue, Lod, _product, value_spaces
 from .errors import EvaluationError, UnknownValueError

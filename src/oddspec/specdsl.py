@@ -24,8 +24,8 @@ import operator
 import re
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 from .errors import (
     PredicateNotApplicableError,
@@ -72,7 +72,7 @@ class Atom:
 
     attribute_name: str
     predicate: Predicate
-    literal: Union[bool, int, float, str]
+    literal: bool | int | float | str
     unit: str | None = None
 
     _depth = 1  # levels of the tree rooted here; not a field
@@ -136,12 +136,12 @@ class And:
         return self
 
 
-SpecAst = Union[Atom, Not, And]
+SpecAst = Atom | Not | And
 
 Test = Callable[[object, object], bool]
 Probe = tuple[int, Test, object]  # (value index, test, literal)
 # see WellFormedSpec.groups
-Group = tuple[int, tuple[tuple[int, Test, object], ...], Union[tuple, None]]
+Group = tuple[int, tuple[tuple[int, Test, object], ...], tuple | None]
 
 
 @dataclass(frozen=True, init=False)

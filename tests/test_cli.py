@@ -208,6 +208,13 @@ _LISTING_CASES = [(taxonomy, None) for taxonomy in TAXONOMY_FAMILY] + [
     # an admitted prefix that assigns every attribute: its line ends without a comma
     (_FAMILY["f5"], "road == motorway and busy == false"),
     (_FAMILY["f11"], "b1 == true and b2 == false and b3 == true and b4 == true"),
+    # one attribute: each admitted value is a whole line, or no line is admitted
+    (_FAMILY["f4"], "count <= 1"),
+    (_FAMILY["f1"], "kind == a and not kind == a"),
+    # the last attribute is an int range, which completes a prefix, and a
+    # middle position between them
+    (_FAMILY["f6"], "grade >= g3"),
+    (_FAMILY["f7"], "side == right"),
 ]
 
 
@@ -570,6 +577,31 @@ class TestInProcessEntryPoint:
 
         peak(1_000)  # the first run also fills the interpreter's caches
         assert peak(10_000) < peak(1_000) + 64 * 1024
+
+    def test_without_a_report_no_event_is_held(self, tmp_path):
+        # the speed crosses the spec's 60 kmh on every sample, so every
+        # sample is an entry or an exit event
+        def peak(count):
+            trace = tmp_path / f"{count}.trace"
+            trace.write_text(
+                "".join(
+                    f'{{"t": {i}.0, "x": 0.0, "y": 0.0, "values": {{"road_type": "motorway", '
+                    f'"pedestrian_present": false, "operational_speed": {50 + i % 2 * 20}.0}}}}\n'
+                    for i in range(count)
+                )
+            )
+            argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)]
+            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--fail-on-exit"]) == 3
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1_000)  # the first run also fills the interpreter's caches
+        # a held event is about 200 bytes, so 19,000 more would be about 4 MB
+        assert peak(20_000) < peak(1_000) + 256 * 1024
 
 
 def _refuse_constant(name):

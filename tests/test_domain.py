@@ -484,9 +484,14 @@ class TestCodOf:
         trace = _trace_at(finite_taxonomy, [0.0, 1.0, 2.0])
         assert cod_of(trace, 1.0).t == 1.0
 
+    def test_the_first_sample_holds_from_its_own_time(self, finite_taxonomy):
+        trace = _trace_at(finite_taxonomy, [0.5, 1.0])
+        assert cod_of(trace, 0.5) is trace.samples[0]
+
     def test_before_first_sample(self, finite_taxonomy):
         trace = _trace_at(finite_taxonomy, [0.5, 1.0])
-        with pytest.raises(TraceError, match="precedes"):
+        # the refusal names the time asked for and the first sample's, not a later one's
+        with pytest.raises(TraceError, match=r"^time 0\.2 precedes the first sample at t=0\.5$"):
             cod_of(trace, 0.2)
         with pytest.raises(TraceError, match="nan"):  # no sample has t <= nan
             cod_of(trace, math.nan)
@@ -513,6 +518,28 @@ def test_trace_constructor_rejects_unsorted(finite_taxonomy):
     b = make_lod(finite_taxonomy, {}, t=1.0)
     with pytest.raises(TraceError, match="strictly increasing"):
         Trace(finite_taxonomy, (a, b))
+
+
+def test_trace_constructor_rejects_a_repeated_time(finite_taxonomy):
+    a = make_lod(finite_taxonomy, {}, t=1.0)
+    b = make_lod(finite_taxonomy, {"road_type": "rural"}, t=1.0)
+    with pytest.raises(TraceError, match="strictly increasing: 1.0 after 1.0"):
+        Trace(finite_taxonomy, (a, b))
+
+
+def test_an_int_equal_to_the_largest_float_is_a_time_and_a_coordinate(finite_taxonomy):
+    # int(sys.float_info.max) converts to the largest float exactly, so it is
+    # as finite as the float; one past it is not
+    largest = int(sys.float_info.max)
+    lod = Lod(largest, largest, -largest, ())
+    assert (lod.t, lod.x, lod.y) == (sys.float_info.max, sys.float_info.max, -sys.float_info.max)
+    assert all(type(field) is float for field in (lod.t, lod.x, lod.y))
+    record = json.dumps({"t": largest, "x": -largest, "y": largest, "values": {}})
+    lod = parse_lod(record, finite_taxonomy)
+    assert (lod.t, lod.x, lod.y) == (sys.float_info.max, -sys.float_info.max, sys.float_info.max)
+    for key in ("t", "x", "y"):
+        with pytest.raises(LodError, match="finite"):
+            Lod(**{"t": 0, "x": 0, "y": 0, key: largest + 1}, values=())
 
 
 def test_lod_time_invariant():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,24 @@ def test_real_bounds_are_stored_as_floats():
     speed = RealType("kmh", minimum=0, maximum=130)
     assert (type(speed.minimum), type(speed.maximum)) == (float, float)
     assert speed == RealType("kmh", minimum=0.0, maximum=130.0)
+
+
+def test_a_real_bound_may_be_the_largest_float():
+    largest = sys.float_info.max
+    span = Attribute("r", RealType("m", minimum=-largest, maximum=largest))
+    assert (span.attr_type.minimum, span.attr_type.maximum) == (-largest, largest)
+    assert value_in_domain(span, largest) and value_in_domain(span, -largest)
+    taxonomy = Taxonomy((span,))
+    assert parse_taxonomy(serialize_taxonomy(taxonomy)) == taxonomy
+
+
+def test_an_int_range_may_hold_one_value():
+    # a fixed lane count: min == max is a one-value domain, not a refusal
+    lanes = Attribute("lanes", IntType(minimum=2, maximum=2))
+    assert domain_cardinality(Taxonomy((lanes,))) == 1
+    assert [value_in_domain(lanes, value) for value in (1, 2, 3)] == [False, True, False]
+    with pytest.raises(TaxonomyError, match="exceeds"):
+        IntType(minimum=3, maximum=2)
 
 
 # Pairs of equal data types built from different arguments, with the
@@ -365,6 +384,46 @@ class TestCardinality:
 
 def test_round_trip_motorway(motorway_taxonomy):
     assert parse_taxonomy(serialize_taxonomy(motorway_taxonomy)) == motorway_taxonomy
+
+
+def test_fields_at_their_defaults_are_left_out():
+    t = Taxonomy(
+        (
+            Attribute("road", EnumType(("a", "b"))),
+            Attribute("speed", RealType("kmh")),
+            Attribute("lanes", IntType()),
+            Attribute("night", BoolType()),
+        ),
+        version="1",
+    )
+    assert serialize_taxonomy(t) == (
+        "{\n"
+        '  "version": "1",\n'
+        '  "attributes": [\n'
+        "    {\n"
+        '      "name": "road",\n'
+        '      "type": "enum",\n'
+        '      "labels": [\n'
+        '        "a",\n'
+        '        "b"\n'
+        "      ]\n"
+        "    },\n"
+        "    {\n"
+        '      "name": "speed",\n'
+        '      "type": "real",\n'
+        '      "unit": "kmh"\n'
+        "    },\n"
+        "    {\n"
+        '      "name": "lanes",\n'
+        '      "type": "int"\n'
+        "    },\n"
+        "    {\n"
+        '      "name": "night",\n'
+        '      "type": "bool"\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    )
 
 
 def test_round_trip_every_feature():
