@@ -110,9 +110,14 @@ def cmd_eval(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     return 0
 
 
+# The widest int range whose texts a listing renders once and holds, as it
+# does every label: a wider range may be too wide to hold, so it streams.
+_HELD_WIDTH = 1024
+
+
 class _Rendered:
-    """The texts of an int range, rendered as they are iterated, so that a
-    range of any width is never held."""
+    """The texts of an int range wider than ``_HELD_WIDTH``, rendered as
+    they are iterated, so that a range of any width is never held."""
 
     def __init__(self, values: range):
         self.values = values
@@ -124,8 +129,9 @@ class _Rendered:
 def _listing(taxonomy: Taxonomy, spec: WellFormedSpec | None) -> Iterator[str]:
     """The lines of ``enumerate_od`` or ``enumerate_odd``: the same walk and
     the same product, over the values' texts, so that each admitted prefix
-    is rendered once. The product runs over every position but the last,
-    and each of its lines is completed with every text of the last one."""
+    is rendered once, and so is each value of a space no wider than
+    ``_HELD_WIDTH``. The product runs over every position but the last, and
+    each of its lines is completed with every text of the last one."""
     from .domain import _product, value_spaces
 
     spaces = value_spaces(taxonomy)
@@ -133,7 +139,10 @@ def _listing(taxonomy: Taxonomy, spec: WellFormedSpec | None) -> Iterator[str]:
         yield "\n"  # the empty tuple; a checked spec has an atom, so there is none here
         return
     *texts, last = [
-        _Rendered(space) if isinstance(space, range) else tuple(map(render_value, space))
+        # an int range has step 1, and len() overflows past sys.maxsize values
+        _Rendered(space)
+        if isinstance(space, range) and space.stop - space.start > _HELD_WIDTH
+        else tuple(map(render_value, space))
         for space in spaces
     ]
     if spec is None:

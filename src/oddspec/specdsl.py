@@ -36,13 +36,13 @@ from .errors import (
 from .taxonomy import (
     IDENTIFIER_RE,
     RESERVED_WORDS,
+    _REJECT,
     BoolType,
     EnumType,
     IntType,
     RealType,
     Taxonomy,
     _shown,
-    value_in_domain,
 )
 
 
@@ -52,6 +52,9 @@ class Predicate(enum.Enum):
     GT = ">"
     LE = "<="
     GE = ">="
+
+    # members are singletons compared by identity; Enum's own hash is Python code
+    __hash__ = object.__hash__
 
 
 ORDERING_PREDICATES = frozenset({Predicate.LT, Predicate.GT, Predicate.LE, Predicate.GE})
@@ -233,63 +236,96 @@ def _group(taxonomy: Taxonomy, index: int, members: list) -> Group:
 # Lexer
 # --------------------------------------------------------------------------
 
-_KEYWORDS = {word: word.upper() for word in RESERVED_WORDS}
-_PREDICATES = {predicate.value: predicate for predicate in Predicate}
-
-# A prefix that skips whitespace and comments, then one group per token
-# kind, tried left to right. POINT, EQUALS, MINUS and CHAR match malformed
-# input so that it gets a specific message. EOF matches where the input
-# ends, so that the prefix never gives back a space or a comment to CHAR.
+# A prefix that skips whitespace and comments, then one token, its
+# alternatives tried left to right: a name, an operator, a parenthesis, a
+# number with a point and no digit after it, a number, the end of the text,
+# a lone '=' or '-', and any other character. The malformed alternatives are
+# there so that such input gets a specific message, and the end matches
+# where the text ends, so that the prefix never gives back a space or a
+# comment to the last alternative.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:(?P<IDENT>[a-z][a-z0-9_]*)|(?P<OP>==|<=|>=|<|>)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<POINT>-?[0-9]+\.(?![0-9]))"
-    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)|(?P<EOF>\Z)|(?P<EQUALS>=)|(?P<MINUS>-)|(?P<CHAR>.))"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([a-z][a-z0-9_]*|==|<=|>=|<|>|\(|\)"
+    r"|-?[0-9]+\.(?![0-9])|-?[0-9]+(?:\.[0-9]+)?|\Z|=|-|.)"
 )
+
+# The kind and value of each fixed token: a keyword, an operator or a parenthesis.
+_FIXED = {word: (word.upper(), word) for word in RESERVED_WORDS}
+_FIXED.update((predicate.value, ("OP", predicate)) for predicate in Predicate)
+_FIXED.update({"(": ("LPAREN", "("), ")": ("RPAREN", ")")})
+
+# The kind of any other token, by its first character; the empty token is the
+# end of the text, and a token whose first character is not here is CHAR.
+_LEADS = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "IDENT"),
+    **dict.fromkeys("-0123456789", "NUMBER"),
+    "=": "EQUALS",
+    "": "EOF",
+}
 
 _LEX_ERRORS = {
     "POINT": "expected a digit after the decimal point",
     "EQUALS": "expected '==' (single '=' is not an operator)",
     "MINUS": "expected a digit after '-'",
     "CHAR": "unexpected character {!r}",
+    "RANGE": "number literal out of range",
 }
 
 
-def _error(message: str, text: str, offset: int) -> SpecParseError:
-    """A refusal at ``offset``, named by its 1-based line and column."""
+def _starts(text: str) -> list[int]:
+    """The start offset of each token of ``text``, EOF included. Only a
+    refusal names an offset, so ``_lex`` keeps none and a refusal scans the
+    text again with the same regex."""
+    starts = [match.start(1) for match in _TOKEN_RE.finditer(text)]
+    # every other token is not empty, so the first to start at the end is EOF
+    return starts[: starts.index(len(text)) + 1]
+
+
+def _error(message: str, text: str, index: int) -> SpecParseError:
+    """A refusal at token ``index`` of ``text``, named by the 1-based line
+    and column where the token starts."""
+    offset = _starts(text)[index]
     column = offset - text.rfind("\n", 0, offset)
     return SpecParseError(message, text.count("\n", 0, offset) + 1, column)
 
 
-def _lex(text: str) -> tuple[list[str], list, list[int]]:
-    """The tokens of ``text`` as three parallel lists: kinds (IDENT NUMBER
-    OP LPAREN RPAREN AND OR NOT TRUE FALSE EOF), values and start offsets.
-    The last token is EOF, where the text ends."""
-    kinds, values, starts = [], [], []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        kind, value, start = match.lastgroup, match[group], match.start(group)
+def _lex(text: str) -> tuple[list[str], list]:
+    """The tokens of ``text`` as two parallel lists: kinds (IDENT NUMBER OP
+    LPAREN RPAREN AND OR NOT TRUE FALSE EOF) and values. The last token is
+    EOF, where the text ends. No offset is kept: a refusal works out the
+    one it names with ``_starts``."""
+    kinds, values = [], []
+    for token in _TOKEN_RE.findall(text):
+        fixed = _FIXED.get(token)
+        if fixed is not None:
+            kinds.append(fixed[0])
+            values.append(fixed[1])
+            continue
+        kind = _LEADS.get(token[:1], "CHAR")
         if kind == "IDENT":
-            kind = _KEYWORDS.get(value, kind)
-        elif kind == "OP":
-            value = _PREDICATES[value]
-        elif kind == "NUMBER":
-            try:
-                value = float(value) if "." in value else int(value)
-            except ValueError:  # more digits than int() converts
-                value = math.inf
-            if abs(value) == math.inf:
-                raise _error("number literal out of range", text, start)
-        elif kind == "EOF":  # always met, and an empty match may follow it
+            kinds.append(kind)
+            values.append(token)
+            continue
+        if kind == "EOF":  # always met, and an empty token may follow it
             break
-        elif kind in _LEX_ERRORS:
-            raise _error(_LEX_ERRORS[kind].format(value), text, start)
-        kinds.append(kind)
-        values.append(value)
-        starts.append(start)
+        if kind == "NUMBER":
+            if token == "-":
+                kind = "MINUS"
+            elif token[-1] == ".":
+                kind = "POINT"
+            else:
+                try:
+                    value = float(token) if "." in token else int(token)
+                except ValueError:  # more digits than int() converts
+                    value = math.inf
+                if abs(value) != math.inf:
+                    kinds.append(kind)
+                    values.append(value)
+                    continue
+                kind = "RANGE"
+        raise _error(_LEX_ERRORS[kind].format(token), text, len(kinds))
     kinds.append("EOF")
     values.append(None)
-    starts.append(len(text))
-    return kinds, values, starts
+    return kinds, values
 
 
 # --------------------------------------------------------------------------
@@ -300,21 +336,22 @@ def _lex(text: str) -> tuple[list[str], list, list[int]]:
 class _Parser:
     """Recursive descent over ``_lex``'s lists; ``pos`` indexes the current
     token. A node the parser builds refuses depth past ``_MAX_DEPTH``, and
-    the parser reports that at the token that would have built it."""
+    the parser reports that at the token that would have built it. The
+    parser keeps no offsets: a refusal works out the one it names, and the
+    text of a token it quotes, by scanning the text again."""
 
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.values, self.starts = _lex(text)
+        self.kinds, self.values = _lex(text)
         self.pos = 0
         self.nesting = 0  # 'not's and '('s enclosing the current token
 
     def error(self, message: str, index: int | None = None) -> SpecParseError:
-        return _error(message, self.text, self.starts[self.pos if index is None else index])
+        return _error(message, self.text, self.pos if index is None else index)
 
     def found(self, index: int) -> str:
-        """The source text of token ``index``, lexed again from its start."""
-        match = _TOKEN_RE.match(self.text, self.starts[index])
-        return match[match.lastindex]
+        """The source text of token ``index``."""
+        return _TOKEN_RE.findall(self.text)[index]
 
     def expr(self) -> SpecAst:
         node = self.term()
@@ -479,11 +516,11 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
     """Check one atom against its attribute's row of ``_LITERAL_RULES``,
     then its domain and unit, and compile it; an ordered-enum ordering atom
     becomes a label set."""
-    if atom.attribute_name not in taxonomy:
+    row = taxonomy._index.get(atom.attribute_name)
+    if row is None:
         raise SpecCheckError(f"unknown attribute {atom.attribute_name!r}")
-    index = taxonomy.index_of(atom.attribute_name)
-    attribute = taxonomy.attributes[index]
-    kind = attribute.attr_type
+    index, accept = row[0], row[-1]
+    kind = accept.__self__  # the data type whose _accept the row holds
     literal = atom.literal
     accepted, noun, unordered = _LITERAL_RULES[type(kind)]
 
@@ -510,7 +547,7 @@ def _check_atom(atom: Atom, taxonomy: Taxonomy) -> Probe:
             stacklevel=level,
         )
 
-    if not value_in_domain(attribute, literal):
+    if accept(literal) is _REJECT:
         raise SpecCheckError(
             f"{atom.attribute_name}: literal {render_value(literal)} is outside "
             f"the attribute's domain"

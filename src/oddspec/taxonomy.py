@@ -237,7 +237,7 @@ class Taxonomy:
     attributes: tuple[Attribute, ...]
     version: str = "1"
     # name -> (position, exact type, labels, low, high, the data type's
-    # _accept), for name lookup and decoding; see make_lod
+    # _accept), for name lookup, decoding (see make_lod) and checking an atom
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from oddspec import (
     Atom,
     Attribute,
     BoolType,
+    EnumType,
     IntType,
     OddspecError,
     Predicate,
@@ -37,6 +39,7 @@ from oddspec import (
     serialize_spec,
     serialize_taxonomy,
 )
+from oddspec import cli
 from oddspec.cli import cmd_enumerate, main
 from oracles import SPEC_FAMILY, TAXONOMY_FAMILY, random_spec
 
@@ -261,6 +264,30 @@ def test_enumerate_writes_ints_past_the_str_digit_limit(capsys):
         assert lines[0].endswith(",true,1" + "0" * 4400)
 
 
+@pytest.mark.parametrize("spec", [None, "a == x"])
+def test_enumerate_renders_each_value_of_a_narrow_range_once(monkeypatch, capsys, spec):
+    # a narrow int range in a middle position and in the last one; neither
+    # range holds 0 or 1, which would count as the bool's values
+    taxonomy = Taxonomy((
+        Attribute("a", EnumType(("x", "y"))),
+        Attribute("b", IntType(minimum=2, maximum=5)),
+        Attribute("c", BoolType()),
+        Attribute("d", IntType(minimum=7, maximum=9)),
+    ))
+    checked = None if spec is None else check_spec(parse_spec(spec), taxonomy)
+    calls = Counter()
+
+    def counted(value):
+        calls[value] += 1
+        return render_value(value)
+
+    monkeypatch.setattr(cli, "render_value", counted)
+    assert cmd_enumerate(None, taxonomy, checked) == 0
+    assert capsys.readouterr().out == _listed(taxonomy, checked)
+    ints = [*range(2, 6), *range(7, 10)]
+    assert [calls[value] for value in ints] == [1] * len(ints)
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self):
         result = run_cli("validate", "--taxonomy", "no/such/file.json")
@@ -412,6 +439,18 @@ class TestExitCodes:
         argv = ["enumerate", "--taxonomy", str(taxonomy), "--spec", str(spec)]
         assert self._read_three_lines_and_close(argv) == (
             ["0,true\n", "1,true\n", "2,true\n"], 0, ""
+        )
+
+    def test_a_wide_range_after_the_first_position_streams(self, tmp_path):
+        # the range completes each line, so it is iterated once per line of
+        # the product before it and is never held
+        taxonomy = tmp_path / "wide_last.json"
+        taxonomy.write_text(
+            '{"version": "1", "attributes": [{"name": "b", "type": "bool"}, '
+            '{"name": "a", "type": "int", "min": 0, "max": %d}]}' % 10**12
+        )
+        assert self._read_three_lines_and_close(["enumerate", "--taxonomy", str(taxonomy)]) == (
+            ["true,0\n", "true,1\n", "true,2\n"], 0, ""
         )
 
     def test_monitor_into_a_closed_pipe_folds_the_whole_trace(self, tmp_path):

@@ -36,7 +36,7 @@ from oddspec import (
     render_value,
     serialize_spec,
 )
-from oddspec.specdsl import _check_atom, _lex
+from oddspec.specdsl import _check_atom, _lex, _starts
 from oracles import (
     SPEC_FAMILY,
     eval_kleene,
@@ -165,7 +165,7 @@ class TestParse:
         # tabs and '\r' are one column each; the EOF token sits where the
         # input ends, also after a trailing comment
         text = "# head\n\troad_type ==\tmotorway\r\nand not (x >= -3.25 kmh\n\t\tor y<-1) # tail"
-        kinds, _, starts = _lex(text)
+        kinds, starts = _lex(text)[0], _starts(text)
         assert [(kind, *_line_and_column(text, start)) for kind, start in zip(kinds, starts)] == [
             ("IDENT", 2, 2), ("OP", 2, 12), ("IDENT", 2, 15),
             ("AND", 3, 1), ("NOT", 3, 5), ("LPAREN", 3, 9), ("IDENT", 3, 10),
@@ -286,6 +286,34 @@ class TestPositions:
         assert (caught.value.line, caught.value.column) == (line, column)
         assert str(caught.value) == f"line {line}, column {column}: unexpected character {char!r}"
 
+    # Each malformed token the lexer names, with texts it may have, and its message.
+    _MALFORMED = {
+        "point": (("5.", "-12.", "0."), "expected a digit after the decimal point"),
+        "equals": (("=",), "expected '==' (single '=' is not an operator)"),
+        "minus": (("-",), "expected a digit after '-'"),
+        "out of range": (
+            ("9" * 400 + ".0", "-" + "9" * 400 + ".5", "9" * 5000),
+            "number literal out of range",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(_MALFORMED))
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_a_malformed_token_is_named_where_it_stands(self, kind, rng):
+        # set off by gaps, so that it joins no token next to it; a gap
+        # before it may end a line or a comment
+        words, message = self._MALFORMED[kind]
+        text, _, offsets = _padded_spec(rng)
+        offset = rng.choice(offsets)
+        before = rng.choice(_GAPS)
+        text = text[:offset] + before + rng.choice(words) + rng.choice(_GAPS) + text[offset:]
+        with pytest.raises(SpecParseError) as caught:
+            parse_spec(text)
+        line, column = _line_and_column(text, offset + len(before))
+        assert (caught.value.line, caught.value.column) == (line, column)
+        assert str(caught.value) == f"line {line}, column {column}: {message}"
+
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_a_text_cut_short_is_refused_where_it_ends(self, rng):
@@ -302,7 +330,7 @@ class TestPositions:
     @given(st.randoms(use_true_random=False))
     def test_each_token_starts_at_its_own_text(self, rng):
         text, tokens, _ = _padded_spec(rng)
-        kinds, values, starts = _lex(text)
+        (kinds, values), starts = _lex(text), _starts(text)
         assert starts == [start for _, start in tokens] + [len(text)]
         assert kinds[-1] == "EOF"
         for (word, _), kind, value in zip(tokens, kinds, values):
