@@ -10,6 +10,7 @@ code. A reader that closes standard output early is not an error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -173,15 +174,14 @@ def cmd_enumerate(args, taxonomy: Taxonomy, spec: WellFormedSpec | None) -> int:
 def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     from .domain import iter_trace
     from .evaluator import Verdict
-    from .monitor import EventKind, monitor_init, monitor_step, report_from_state, report_json
+    from .monitor import EventKind, _fold, monitor_init, render_report, report_from_state
 
     verdict_line = {verdict: f" verdict={verdict.value}\n" for verdict in Verdict}
     state = monitor_init(spec, taxonomy)
     # events are held only for a report; --fail-on-exit needs one flag
     events, exited = [], False
     write = sys.stdout.write
-    for sample in iter_trace(_lines(args.trace), taxonomy):
-        _, verdict, step_events = monitor_step(state, sample)
+    for sample, verdict, step_events in _fold(state, iter_trace(_lines(args.trace), taxonomy)):
         if step_events:
             if args.report is not None:
                 events.extend(step_events)
@@ -195,7 +195,9 @@ def cmd_monitor(args, taxonomy: Taxonomy, spec: WellFormedSpec) -> int:
     report = report_from_state(state, events)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as file:
-            file.write(report_json(report))
+            # written as it is rendered, so the report's text is never held whole
+            json.dump(render_report(report), file, indent=2)
+            file.write("\n")
     if args.fail_on_exit and exited:
         return 3
     return 0

@@ -232,14 +232,13 @@ def _admitting_prefixes(
     One row of node ranks serves the whole walk. Assigning a value re-tests
     only its position's atoms, as no value equals ``UNKNOWN``, and
     releasing it re-tests them on ``UNKNOWN``; the atoms that move are
-    lifted. An assignment passes ``UNKNOWN`` as the last value, so it reads
-    no hint and skips no group.
+    lifted.
     """
     values: list[AttributeValue] = [UNKNOWN] * len(spaces)
     unknown = tuple(values)
-    groups = {group[0]: (group,) for group in spec.groups}
+    # a group with no literals is never skipped and writes no hint, so none is kept
+    groups = {index: ((index, group, None),) for index, group, _ in spec.groups}
     row = [1] * len(spec.parents)
-    hints = [_NO_HINT] * len(spaces)
     # a checked spec has an atom, so spaces is not empty and the root is Unknown
     stack = [iter(spaces[order[0]])]
     while stack:
@@ -248,14 +247,14 @@ def _admitting_prefixes(
         group = groups.get(position, ())
         for value in stack[-1]:
             values[position] = value
-            _relift(spec, group, values, unknown, row, hints)
+            _relift(spec, group, values, unknown, row, ())
             if (rank := row[-1]) == 2:
                 yield values, depth
             elif rank == 1:
                 stack.append(iter(spaces[order[depth]]))
                 break
         else:
-            _relift(spec, group, unknown, values, row, hints)
+            _relift(spec, group, unknown, values, row, ())
             values[position] = UNKNOWN
             stack.pop()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -218,23 +219,36 @@ def monitor_step(
     return state, verdict, [MonitorEvent(kind, t, index, diagnosis) for kind in kinds]
 
 
-def run_monitor(
-    spec: WellFormedSpec, taxonomy: Taxonomy, trace: Trace
-) -> MonitorReport:
-    """Fold the monitor over a whole trace and assemble the report.
+def _fold(
+    state: MonitorState, samples: Iterable[Lod]
+) -> Iterator[tuple[Lod, Verdict, list[MonitorEvent]]]:
+    """Step ``state`` through ``samples`` as they are read, yielding each
+    sample with its verdict and events; raises as ``monitor_step`` does."""
+    for sample in samples:
+        _, verdict, events = monitor_step(state, sample)
+        yield sample, verdict, events
 
-    Pure in its inputs: the same (spec, taxonomy, trace) always produces
+
+def run_monitor(
+    spec: WellFormedSpec, taxonomy: Taxonomy, trace: Trace | Iterable[Lod]
+) -> MonitorReport:
+    """Fold the monitor over a trace, or over any iterable of samples as it
+    is read, without holding them, and assemble the report.
+
+    Pure in its inputs: the same (spec, taxonomy, samples) always produces
     an identical report.
 
     Raises:
-        MonitorError: empty trace, or a spec or trace bound to a taxonomy
-            that is not equal to ``taxonomy``.
+        MonitorError: a ``Trace`` recorded against a taxonomy that is not
+            equal to ``taxonomy``, then a spec checked against one, then no
+            samples; or a timestamp that does not increase.
     """
-    _check_binding(trace.taxonomy, taxonomy, "trace was recorded against", MonitorError)
+    if isinstance(trace, Trace):
+        _check_binding(trace.taxonomy, taxonomy, "trace was recorded against", MonitorError)
+        trace = trace.samples
     state = monitor_init(spec, taxonomy)
     events: list[MonitorEvent] = []
-    for sample in trace.samples:
-        _, _, step_events = monitor_step(state, sample)
+    for _, _, step_events in _fold(state, trace):
         events.extend(step_events)
     return report_from_state(state, events)
 
@@ -242,7 +256,8 @@ def run_monitor(
 def report_from_state(
     state: MonitorState, events: list[MonitorEvent]
 ) -> MonitorReport:
-    """Assemble the report for a manually driven fold.
+    """Assemble the report of a fold driven by ``monitor_step``, as a
+    closed loop in the vehicle drives it, from the events it returned.
 
     The fold may go on after it: the report counts every sample so far.
 

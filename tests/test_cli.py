@@ -618,29 +618,41 @@ class TestInProcessEntryPoint:
         assert peak(10_000) < peak(1_000) + 64 * 1024
 
     def test_without_a_report_no_event_is_held(self, tmp_path):
-        # the speed crosses the spec's 60 kmh on every sample, so every
-        # sample is an entry or an exit event
-        def peak(count):
-            trace = tmp_path / f"{count}.trace"
-            trace.write_text(
-                "".join(
-                    f'{{"t": {i}.0, "x": 0.0, "y": 0.0, "values": {{"road_type": "motorway", '
-                    f'"pedestrian_present": false, "operational_speed": {50 + i % 2 * 20}.0}}}}\n'
-                    for i in range(count)
-                )
-            )
-            argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace)]
-            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-                tracemalloc.start()
-                try:
-                    assert main([*argv, "--fail-on-exit"]) == 3
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
-        peak(1_000)  # the first run also fills the interpreter's caches
+        _flipping_peak(tmp_path, 1_000)  # the first run also fills the interpreter's caches
         # a held event is about 200 bytes, so 19,000 more would be about 4 MB
-        assert peak(20_000) < peak(1_000) + 256 * 1024
+        assert _flipping_peak(tmp_path, 20_000) < _flipping_peak(tmp_path, 1_000) + 256 * 1024
+
+    def test_a_report_is_written_as_it_is_rendered(self, tmp_path):
+        report = str(tmp_path / "report.json")
+        _flipping_peak(tmp_path, 1_000, "--report", report)
+        # each event is held, with its rendered dict, in about 540 bytes; the
+        # report's text, built whole before it is written, would cost about
+        # 1 KB more per event
+        assert _flipping_peak(tmp_path, 20_000, "--report", report) < (
+            _flipping_peak(tmp_path, 1_000, "--report", report) + 19_000 * 1024
+        )
+
+
+def _flipping_peak(directory, count, *options):
+    """The traced peak of ``monitor --fail-on-exit`` over ``count`` samples
+    whose speed crosses the spec's 60 kmh on every sample, so that every
+    sample is an entry or an exit event."""
+    trace = directory / f"{count}.trace"
+    trace.write_text(
+        "".join(
+            f'{{"t": {i}.0, "x": 0.0, "y": 0.0, "values": {{"road_type": "motorway", '
+            f'"pedestrian_present": false, "operational_speed": {50 + i % 2 * 20}.0}}}}\n'
+            for i in range(count)
+        )
+    )
+    argv = ["monitor", "--taxonomy", TAXONOMY, "--spec", SPEC, "--trace", str(trace), *options]
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--fail-on-exit"]) == 3
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def _refuse_constant(name):

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -33,6 +34,7 @@ from oddspec import (
     check_spec,
     diagnose,
     enumerate_odd,
+    iter_trace,
     make_lod,
     monitor_init,
     monitor_step,
@@ -387,6 +389,65 @@ class TestRunningExample(object):
         for sample in trace.samples:
             _, verdict, _ = monitor_step(state, sample)
             assert (verdict is Verdict.TRUE) == (sample.values in inside)
+
+
+# the golden monitor traces, each with the spec it runs under and its report
+GOLDEN_TRACES = [
+    ("flip.trace", "motorway.spec", "report.json"),
+    ("dropout.trace", "negated.spec", "dropout_report.json"),
+    ("band.trace", "band.spec", "band_report.json"),
+    ("int_speed.trace", "band.spec", "int_speed_report.json"),
+]
+
+
+class TestSampleStreams:
+    @pytest.mark.parametrize("trace_name, spec_name, report_name", GOLDEN_TRACES, ids=str)
+    def test_any_iterable_of_samples_gives_the_trace_s_report(
+        self, motorway_taxonomy, trace_name, spec_name, report_name
+    ):
+        from conftest import DATA
+
+        taxonomy = motorway_taxonomy
+        spec = check_spec(parse_spec((DATA / spec_name).read_text()), taxonomy)
+        trace = parse_trace((DATA / trace_name).read_text(), taxonomy)
+        expected = run_monitor(spec, taxonomy, trace)
+        assert report_json(expected) == (DATA / "golden" / report_name).read_text()
+        with open(DATA / trace_name, encoding="utf-8") as lines:
+            assert run_monitor(spec, taxonomy, iter_trace(lines, taxonomy)) == expected
+        assert run_monitor(spec, taxonomy, list(trace.samples)) == expected
+        assert run_monitor(spec, taxonomy, (sample for sample in trace.samples)) == expected
+
+    def test_a_mismatched_spec_is_refused_before_an_empty_iterable(self):
+        with pytest.raises(MonitorError, match="trace has no samples"):
+            run_monitor(flag_spec(), FLAG_TAXONOMY, iter(()))
+        other = Taxonomy(FLAG_TAXONOMY.attributes, version="flag2")
+        with pytest.raises(MonitorError, match="spec was checked against"):
+            run_monitor(flag_spec(), other, [])
+        # a Trace's own binding is checked first of all
+        with pytest.raises(MonitorError, match="trace was recorded against"):
+            run_monitor(flag_spec(), other, Trace(FLAG_TAXONOMY, ()))
+
+    def test_a_time_that_does_not_increase_is_refused(self):
+        samples = (make_lod(FLAG_TAXONOMY, {"flag": True}, t=t) for t in (0.0, 1.0, 1.0))
+        with pytest.raises(MonitorError, match="timestamp 1.0 does not increase past 1.0"):
+            run_monitor(flag_spec(), FLAG_TAXONOMY, samples)
+
+    def test_an_iterable_is_not_held(self):
+        spec = flag_spec()
+
+        def peak(count):
+            # the verdict never changes, so the fold holds one event
+            samples = (make_lod(FLAG_TAXONOMY, {"flag": True}, t=float(i)) for i in range(count))
+            tracemalloc.start()
+            try:
+                assert run_monitor(spec, FLAG_TAXONOMY, samples).samples_in == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # the first run also fills the interpreter's caches
+        # a held sample is about 150 bytes, so 19,000 more would be about 3 MB
+        assert peak(20_000) < peak(1_000) + 256 * 1024
 
 
 class TestReportRendering:
